@@ -100,6 +100,18 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+/// Refuses a zero batch, which no stage pipeline can run.
+///
+/// # Errors
+///
+/// [`ErrorCode::BadRequest`] when `batch` is 0.
+pub fn check_batch(batch: u32) -> Result<(), ServiceError> {
+    if batch == 0 {
+        return Err(ServiceError::bad_request("batch must be at least 1"));
+    }
+    Ok(())
+}
+
 /// Resolves an architecture preset name (the CLI's vocabulary).
 pub fn preset(name: &str) -> Option<ArchConfig> {
     match name {
@@ -309,7 +321,7 @@ impl ServiceState {
     /// # Errors
     ///
     /// [`ServiceError`] with [`ErrorCode::BadRequest`] for invalid
-    /// parameters (unknown model/preset/fidelity, bad shard flags,
+    /// parameters (unknown model/preset/fidelity, a zero batch, bad shard flags,
     /// unreadable manifest) and [`ErrorCode::Internal`] for evaluation
     /// or I/O failures.
     pub fn handle(&self, body: &RequestBody) -> Result<Value, ServiceError> {
@@ -400,6 +412,7 @@ impl ServiceState {
                 "unknown preset; try `gemini archs`",
             ));
         };
+        check_batch(p.batch)?;
         // Memo key: the semantic parameters only. `threads` is
         // excluded — the SA engine is bit-identical at any thread
         // count, so it cannot change the payload.
@@ -517,6 +530,7 @@ impl ServiceState {
         };
         let objective =
             Objective::parse(&p.objective).map_err(|e| ServiceError::bad_request(e.0))?;
+        check_batch(p.batch)?;
         let mut k = BTreeMap::new();
         k.insert("verb".to_string(), Value::from("dse"));
         k.insert("tops".to_string(), Value::Num(p.tops));
@@ -859,6 +873,37 @@ mod tests {
         assert_eq!(e.code, ErrorCode::BadRequest);
         assert!(e.detail.contains("unknown objective"), "{}", e.detail);
         assert!(e.detail.contains("p<pct>@<rate>"), "{}", e.detail);
+    }
+
+    #[test]
+    fn zero_batch_is_a_bad_request_for_map_and_dse() {
+        let state = ServiceState::one_shot();
+        let map = RequestBody::Map(MapParams {
+            model: "gn".to_string(),
+            arch: "g-arch".to_string(),
+            batch: 0,
+            iters: 10,
+            seed: 0,
+            threads: 1,
+            stats: false,
+        });
+        let dse = RequestBody::Dse(DseParams {
+            tops: 72.0,
+            stride: 400,
+            batch: 0,
+            iters: 10,
+            seed: 0,
+            fidelity: "analytic".to_string(),
+            rerank_k: 4,
+            threads: None,
+            sa_threads: 1,
+            objective: "mc-e-d".to_string(),
+        });
+        for body in [map, dse] {
+            let e = state.handle(&body).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest);
+            assert_eq!(e.detail, "batch must be at least 1");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Link enumeration and routing.
 
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -76,17 +76,112 @@ pub struct Network {
     h_left: Vec<u32>,
     v_down: Vec<u32>,
     v_up: Vec<u32>,
-    /// Wrap links for the torus: per row (right-to-0 and back), per col.
-    wrap_h: HashMap<(u32, bool), u32>,
-    wrap_v: HashMap<(u32, bool), u32>,
+    /// Torus wrap links per row (`x_cores - 1 -> 0`, `0 -> x_cores - 1`)
+    /// and per column; empty on a mesh.
+    wrap_h: Vec<(u32, u32)>,
+    wrap_v: Vec<(u32, u32)>,
     /// Injection/ejection link ids per DRAM per port.
     dram_inj: Vec<Vec<u32>>,
     dram_ej: Vec<Vec<u32>>,
     /// DRAM port coordinates, cached from the arch.
     dram_ports: Vec<Vec<Coord>>,
+    /// Dimension-order route legs, built on the first routing call so
+    /// networks that never route (candidates pruned before mapping)
+    /// never pay for them.
+    legs: OnceLock<Legs>,
 }
 
 const NO_LINK: u32 = u32::MAX;
+
+/// Every dimension-order leg of a network: the X leg between any two
+/// cores of a row and the Y leg between any two cores of a column. A
+/// route is an X leg followed by a Y leg, so `x·y·(x+y)` legs cover
+/// every core-to-core and port-to-core route.
+///
+/// Leg `i` is `links[offs[i]..offs[i + 1]]`. X legs come first, at
+/// `(y * x_len + ax) * x_len + bx`; Y legs follow, at
+/// `x_len² · y_len + (x * y_len + ay) * y_len + by`.
+#[derive(Debug, Clone)]
+struct Legs {
+    x_len: usize,
+    y_len: usize,
+    links: Vec<LinkId>,
+    offs: Vec<u32>,
+}
+
+impl Legs {
+    fn leg(&self, i: usize) -> &[LinkId] {
+        &self.links[self.offs[i] as usize..self.offs[i + 1] as usize]
+    }
+
+    /// The X leg then the Y leg of the route from `a` to `b`.
+    fn route(&self, a: Coord, b: Coord) -> [&[LinkId]; 2] {
+        let (ax, ay, bx, by) = (a.x as usize, a.y as usize, b.x as usize, b.y as usize);
+        let (xl, yl) = (self.x_len, self.y_len);
+        [
+            self.leg((ay * xl + ax) * xl + bx),
+            self.leg(xl * xl * yl + (bx * yl + ay) * yl + by),
+        ]
+    }
+
+    /// Appends the route from `a` to `b` onto `out`.
+    fn append(&self, a: Coord, b: Coord, out: &mut Vec<LinkId>) {
+        for leg in self.route(a, b) {
+            out.extend_from_slice(leg);
+        }
+    }
+}
+
+/// Bitset over link ids; multicast trees dedup their links with it.
+struct LinkSet(Vec<u64>);
+
+impl LinkSet {
+    fn new(n_links: usize) -> Self {
+        Self(vec![0; n_links.div_ceil(64)])
+    }
+
+    /// Adds `l`; true if it was not in the set.
+    fn insert(&mut self, l: LinkId) -> bool {
+        let (w, bit) = (l.idx() / 64, 1u64 << (l.idx() % 64));
+        let fresh = self.0[w] & bit == 0;
+        self.0[w] |= bit;
+        fresh
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+}
+
+/// Walks one dimension of length `len` hop by hop from `a` to `b`,
+/// pushing `fwd(c)` for each step out of `c` towards `c + 1` and
+/// `bwd(c)` for each step towards `c - 1` (both modulo `len`). The mesh
+/// goes straight; the torus takes the shorter way round, forward on a
+/// tie.
+fn walk_dim(
+    len: u32,
+    torus: bool,
+    a: u32,
+    b: u32,
+    out: &mut Vec<LinkId>,
+    fwd: impl Fn(u32) -> u32,
+    bwd: impl Fn(u32) -> u32,
+) {
+    let mut c = a;
+    while c != b {
+        let fwd_dist = (b + len - c) % len;
+        let bwd_dist = (c + len - b) % len;
+        let go_fwd = if torus { fwd_dist <= bwd_dist } else { c < b };
+        let l = if go_fwd { fwd(c) } else { bwd(c) };
+        debug_assert_ne!(l, NO_LINK, "walk left the network");
+        out.push(LinkId(l));
+        c = if go_fwd {
+            (c + 1) % len
+        } else {
+            (c + len - 1) % len
+        };
+    }
+}
 
 impl Network {
     /// Builds the interconnect for an architecture.
@@ -99,8 +194,8 @@ impl Network {
         let mut h_left = vec![NO_LINK; n];
         let mut v_down = vec![NO_LINK; n];
         let mut v_up = vec![NO_LINK; n];
-        let mut wrap_h = HashMap::new();
-        let mut wrap_v = HashMap::new();
+        let mut wrap_h = Vec::new();
+        let mut wrap_v = Vec::new();
 
         let core = |cx: u32, cy: u32| NodeId::Core(Coord::new(cx as u16, cy as u16));
         let push = |links: &mut Vec<Link>, from, to, kind, bw| -> u32 {
@@ -154,8 +249,7 @@ impl Network {
                 };
                 let f = push(&mut links, core(x - 1, cy), core(0, cy), k, bw_of(k));
                 let b = push(&mut links, core(0, cy), core(x - 1, cy), k, bw_of(k));
-                wrap_h.insert((cy, true), f);
-                wrap_h.insert((cy, false), b);
+                wrap_h.push((f, b));
             }
         }
         if arch.topology() == Topology::FoldedTorus && y > 1 {
@@ -167,8 +261,7 @@ impl Network {
                 };
                 let f = push(&mut links, core(cx, y - 1), core(cx, 0), k, bw_of(k));
                 let b = push(&mut links, core(cx, 0), core(cx, y - 1), k, bw_of(k));
-                wrap_v.insert((cx, true), f);
-                wrap_v.insert((cx, false), b);
+                wrap_v.push((f, b));
             }
         }
 
@@ -213,6 +306,7 @@ impl Network {
             dram_inj,
             dram_ej,
             dram_ports,
+            legs: OnceLock::new(),
         }
     }
 
@@ -236,73 +330,60 @@ impl Network {
         &self.links
     }
 
-    fn idx_of(&self, cx: u32, cy: u32) -> usize {
-        (cy * self.arch.x_cores() + cx) as usize
+    fn legs(&self) -> &Legs {
+        self.legs.get_or_init(|| self.build_legs())
+    }
+
+    /// Walks every X leg of every row and every Y leg of every column
+    /// hop by hop. This is the only hop walk: every route is read from
+    /// its result.
+    fn build_legs(&self) -> Legs {
+        let torus = self.arch.topology() == Topology::FoldedTorus;
+        let (x, y) = (self.arch.x_cores(), self.arch.y_cores());
+        let n_legs = (x * y * (x + y)) as usize;
+        let mut links = Vec::new();
+        let mut offs = Vec::with_capacity(n_legs + 1);
+        offs.push(0);
+        for cy in 0..y {
+            let i = |cx: u32| (cy * x + cx) as usize;
+            let wrap = self.wrap_h.get(cy as usize).copied();
+            let (wf, wb) = wrap.unwrap_or((NO_LINK, NO_LINK));
+            let fwd = |c: u32| if c + 1 == x { wf } else { self.h_right[i(c)] };
+            let bwd = |c: u32| if c == 0 { wb } else { self.h_left[i(c)] };
+            for ax in 0..x {
+                for bx in 0..x {
+                    walk_dim(x, torus, ax, bx, &mut links, fwd, bwd);
+                    offs.push(links.len() as u32);
+                }
+            }
+        }
+        for cx in 0..x {
+            let i = |cy: u32| (cy * x + cx) as usize;
+            let wrap = self.wrap_v.get(cx as usize).copied();
+            let (wf, wb) = wrap.unwrap_or((NO_LINK, NO_LINK));
+            let fwd = |c: u32| if c + 1 == y { wf } else { self.v_down[i(c)] };
+            let bwd = |c: u32| if c == 0 { wb } else { self.v_up[i(c)] };
+            for ay in 0..y {
+                for by in 0..y {
+                    walk_dim(y, torus, ay, by, &mut links, fwd, bwd);
+                    offs.push(links.len() as u32);
+                }
+            }
+        }
+        Legs {
+            x_len: x as usize,
+            y_len: y as usize,
+            links,
+            offs,
+        }
     }
 
     /// Appends the XY (mesh) or dimension-order (torus) route from one
     /// core to another onto `out`. Routing is X-first, matching the
     /// paper's Fig.-9 discussion of XY routing.
     pub fn route_cores(&self, from: CoreId, to: CoreId, out: &mut Vec<LinkId>) {
-        let a = self.arch.coord(from);
-        let b = self.arch.coord(to);
-        self.route_coords(a, b, out);
-    }
-
-    fn route_coords(&self, a: Coord, b: Coord, out: &mut Vec<LinkId>) {
-        let torus = self.arch.topology() == Topology::FoldedTorus;
-        let x_len = self.arch.x_cores();
-        let y_len = self.arch.y_cores();
-        // X leg.
-        let (mut cx, cy) = (a.x as u32, a.y as u32);
-        let tx = b.x as u32;
-        while cx != tx {
-            let fwd_dist = (tx + x_len - cx) % x_len;
-            let bwd_dist = (cx + x_len - tx) % x_len;
-            let go_fwd = if torus { fwd_dist <= bwd_dist } else { cx < tx };
-            if go_fwd {
-                if cx + 1 == x_len {
-                    out.push(LinkId(self.wrap_h[&(cy, true)]));
-                    cx = 0;
-                } else {
-                    out.push(LinkId(self.h_right[self.idx_of(cx, cy)]));
-                    cx += 1;
-                }
-            } else if cx == 0 {
-                out.push(LinkId(self.wrap_h[&(cy, false)]));
-                cx = x_len - 1;
-            } else {
-                out.push(LinkId(self.h_left[self.idx_of(cx, cy)]));
-                cx -= 1;
-            }
-        }
-        // Y leg.
-        let mut cyy = cy;
-        let ty = b.y as u32;
-        while cyy != ty {
-            let fwd_dist = (ty + y_len - cyy) % y_len;
-            let bwd_dist = (cyy + y_len - ty) % y_len;
-            let go_fwd = if torus {
-                fwd_dist <= bwd_dist
-            } else {
-                cyy < ty
-            };
-            if go_fwd {
-                if cyy + 1 == y_len {
-                    out.push(LinkId(self.wrap_v[&(cx, true)]));
-                    cyy = 0;
-                } else {
-                    out.push(LinkId(self.v_down[self.idx_of(cx, cyy)]));
-                    cyy += 1;
-                }
-            } else if cyy == 0 {
-                out.push(LinkId(self.wrap_v[&(cx, false)]));
-                cyy = y_len - 1;
-            } else {
-                out.push(LinkId(self.v_up[self.idx_of(cx, cyy)]));
-                cyy -= 1;
-            }
-        }
+        self.legs()
+            .append(self.arch.coord(from), self.arch.coord(to), out);
     }
 
     /// Coordinates of the ports of DRAM `d`.
@@ -321,11 +402,13 @@ impl Network {
         scratch: &mut Vec<LinkId>,
         mut f: impl FnMut(&[LinkId]),
     ) {
-        let ports = &self.dram_ports[d as usize];
-        for (i, &p) in ports.iter().enumerate() {
+        let legs = self.legs();
+        let d = d as usize;
+        let to = self.arch.coord(to);
+        for (&p, &inj) in self.dram_ports[d].iter().zip(&self.dram_inj[d]) {
             scratch.clear();
-            scratch.push(LinkId(self.dram_inj[d as usize][i]));
-            self.route_coords(p, self.arch.coord(to), scratch);
+            scratch.push(LinkId(inj));
+            legs.append(p, to, scratch);
             f(scratch);
         }
     }
@@ -339,39 +422,39 @@ impl Network {
         scratch: &mut Vec<LinkId>,
         mut f: impl FnMut(&[LinkId]),
     ) {
-        let ports = &self.dram_ports[d as usize];
-        for (i, &p) in ports.iter().enumerate() {
+        let legs = self.legs();
+        let d = d as usize;
+        let from = self.arch.coord(from);
+        for (&p, &ej) in self.dram_ports[d].iter().zip(&self.dram_ej[d]) {
             scratch.clear();
-            self.route_coords(self.arch.coord(from), p, scratch);
-            scratch.push(LinkId(self.dram_ej[d as usize][i]));
+            legs.append(from, p, scratch);
+            scratch.push(LinkId(ej));
             f(scratch);
         }
     }
 
     /// Multicast tree from one core to many: the union of the unicast XY
-    /// paths with each link counted once. Returns the deduplicated link
-    /// set in `out`.
+    /// paths with each link counted once, in first-seen order. Returns
+    /// the deduplicated link set in `out`.
     pub fn multicast_cores(&self, from: CoreId, tos: &[CoreId], out: &mut Vec<LinkId>) {
         out.clear();
-        let mut seen = std::collections::HashSet::new();
-        let mut path = Vec::new();
+        let legs = self.legs();
+        let a = self.arch.coord(from);
+        let mut seen = LinkSet::new(self.links.len());
         for &t in tos {
             if t == from {
                 continue;
             }
-            path.clear();
-            self.route_cores(from, t, &mut path);
-            for &l in &path {
-                if seen.insert(l) {
-                    out.push(l);
-                }
+            for leg in legs.route(a, self.arch.coord(t)) {
+                out.extend(leg.iter().filter(|&&l| seen.insert(l)));
             }
         }
     }
 
     /// Multicast tree from one DRAM port set to many cores (per-port
-    /// trees; callback gets each port's deduplicated tree so the caller
-    /// can divide volume by port count).
+    /// trees; callback gets each port's deduplicated tree, in first-seen
+    /// order, so the caller can divide volume by port count). With one
+    /// destination the tree is its read path, hop by hop.
     pub fn multicast_from_dram(
         &self,
         d: u32,
@@ -379,22 +462,18 @@ impl Network {
         out: &mut Vec<LinkId>,
         mut f: impl FnMut(&[LinkId]),
     ) {
-        let ports: Vec<Coord> = self.dram_ports[d as usize].clone();
-        let mut seen = std::collections::HashSet::new();
-        let mut path = Vec::new();
-        for (i, &p) in ports.iter().enumerate() {
+        let legs = self.legs();
+        let d = d as usize;
+        let mut seen = LinkSet::new(self.links.len());
+        for (&p, &inj) in self.dram_ports[d].iter().zip(&self.dram_inj[d]) {
             out.clear();
             seen.clear();
-            let inj = LinkId(self.dram_inj[d as usize][i]);
+            let inj = LinkId(inj);
             seen.insert(inj);
             out.push(inj);
             for &t in tos {
-                path.clear();
-                self.route_coords(p, self.arch.coord(t), &mut path);
-                for &l in &path {
-                    if seen.insert(l) {
-                        out.push(l);
-                    }
+                for leg in legs.route(p, self.arch.coord(t)) {
+                    out.extend(leg.iter().filter(|&&l| seen.insert(l)));
                 }
             }
             f(out);
@@ -526,6 +605,18 @@ mod tests {
         );
         // Unicast would be 3 + 4 = 7 links; the tree shares 3.
         assert_eq!(tree.len(), 4);
+    }
+
+    #[test]
+    fn leg_tables_are_lazy_and_hold_one_leg_per_row_and_column_pair() {
+        for a in [presets::g_arch_72(), presets::t_arch()] {
+            let n = Network::new(&a);
+            assert!(n.legs.get().is_none(), "Network::new builds no tables");
+            n.route_cores(a.core_at(0, 0), a.core_at(1, 1), &mut Vec::new());
+            let legs = n.legs.get().expect("the first route builds the tables");
+            let (x, y) = (a.x_cores() as usize, a.y_cores() as usize);
+            assert_eq!(legs.offs.len(), x * y * (x + y) + 1);
+        }
     }
 
     #[test]

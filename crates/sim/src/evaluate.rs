@@ -433,7 +433,6 @@ impl Evaluator {
                         *sel,
                         &mut rec.traffic,
                         &mut rec.dram_bytes,
-                        &mut scratch,
                         &mut tree,
                     );
                 }
@@ -464,7 +463,6 @@ impl Evaluator {
                 sel,
                 &mut rec.load_traffic,
                 &mut rec.load_dram,
-                &mut scratch,
                 &mut tree,
             );
         }
@@ -558,7 +556,6 @@ impl Evaluator {
                         DramSel::Interleaved,
                         &mut traffic,
                         &mut dram_bytes,
-                        &mut scratch,
                         &mut tree,
                     );
                 }
@@ -678,13 +675,15 @@ impl Evaluator {
             }
             by_need.entry(need).or_default().push(*core);
         }
+        let mut dests = Vec::new();
         for (need, cores) in by_need {
             for (pc, pr) in &producer.parts {
                 let vol = need.overlap_bytes(pr) as f64;
                 if vol == 0.0 {
                     continue;
                 }
-                let dests: Vec<CoreId> = cores.iter().copied().filter(|c| c != pc).collect();
+                dests.clear();
+                dests.extend(cores.iter().copied().filter(|c| c != pc));
                 if dests.is_empty() {
                     continue;
                 }
@@ -715,7 +714,6 @@ impl Evaluator {
         sel: DramSel,
         traffic: &mut TrafficMap,
         dram_bytes: &mut [f64],
-        scratch: &mut [LinkId],
         tree: &mut Vec<LinkId>,
     ) {
         let mut by_need: BTreeMap<Region, Vec<CoreId>> = BTreeMap::new();
@@ -731,7 +729,7 @@ impl Evaluator {
         }
         for (need, cores) in by_need {
             let vol = need.bytes() as f64;
-            self.dram_multicast(&cores, vol, sel, traffic, dram_bytes, scratch, tree);
+            self.dram_multicast(&cores, vol, sel, traffic, dram_bytes, tree);
         }
     }
 
@@ -745,7 +743,6 @@ impl Evaluator {
         sel: DramSel,
         traffic: &mut TrafficMap,
         dram_bytes: &mut [f64],
-        scratch: &mut [LinkId],
         tree: &mut Vec<LinkId>,
     ) {
         let layer = dnn.layer(m.layer);
@@ -765,14 +762,27 @@ impl Evaluator {
         }
         for ((k0, k1), cores) in by_slice {
             let vol = wtotal * (k1 - k0) as f64 / layer.ofmap.c as f64;
-            self.dram_multicast(&cores, vol, sel, traffic, dram_bytes, scratch, tree);
+            self.dram_multicast(&cores, vol, sel, traffic, dram_bytes, tree);
+        }
+    }
+
+    /// The DRAMs `sel` picks and each one's share of `vol`: all of it
+    /// for a specific DRAM, an equal part of it for each when
+    /// interleaved.
+    fn dram_shares(&self, sel: DramSel, vol: f64) -> (std::ops::Range<u32>, f64) {
+        let d = self.arch.dram_count();
+        match sel {
+            DramSel::Specific(i) => {
+                let i = i.min(d - 1);
+                (i..i + 1, vol)
+            }
+            DramSel::Interleaved => (0..d, vol / d as f64),
         }
     }
 
     /// Multicasts `vol` bytes from DRAM(s) chosen by `sel` to `cores`,
     /// splitting across controllers (interleave) and each controller's
     /// ports.
-    #[allow(clippy::too_many_arguments)]
     fn dram_multicast(
         &self,
         cores: &[CoreId],
@@ -780,15 +790,10 @@ impl Evaluator {
         sel: DramSel,
         traffic: &mut TrafficMap,
         dram_bytes: &mut [f64],
-        _scratch: &mut [LinkId],
         tree: &mut Vec<LinkId>,
     ) {
-        let d = self.arch.dram_count();
-        let drams: Vec<(u32, f64)> = match sel {
-            DramSel::Specific(i) => vec![(i.min(d - 1), vol)],
-            DramSel::Interleaved => (0..d).map(|i| (i, vol / d as f64)).collect(),
-        };
-        for (dram, v) in drams {
+        let (drams, v) = self.dram_shares(sel, vol);
+        for dram in drams {
             dram_bytes[dram as usize] += v;
             let ports = self.net.dram_port_coords(dram).len() as f64;
             if self.opts.multicast_enabled {
@@ -819,12 +824,8 @@ impl Evaluator {
         dram_bytes: &mut [f64],
         scratch: &mut Vec<LinkId>,
     ) {
-        let d = self.arch.dram_count();
-        let drams: Vec<(u32, f64)> = match sel {
-            DramSel::Specific(i) => vec![(i.min(d - 1), vol)],
-            DramSel::Interleaved => (0..d).map(|i| (i, vol / d as f64)).collect(),
-        };
-        for (dram, v) in drams {
+        let (drams, v) = self.dram_shares(sel, vol);
+        for dram in drams {
             dram_bytes[dram as usize] += v;
             let ports = self.net.dram_port_coords(dram).len() as f64;
             self.net

@@ -46,6 +46,7 @@ pub const DETERMINISM_SCOPES: &[&str] = &[
     "crates/sim/src/delta.rs",
     "crates/sim/src/cache.rs",
     "crates/sim/src/bound.rs",
+    "crates/noc/src/network.rs",
 ];
 
 /// Path prefix of the service request path — the panic-safety and

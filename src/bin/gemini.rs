@@ -68,7 +68,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
-use gemini::core::service::preset;
+use gemini::core::service::{check_batch, preset};
 use gemini::prelude::*;
 
 /// Minimal `--flag value` argument scanner.
@@ -190,6 +190,10 @@ fn main() -> ExitCode {
             let batch: u32 = flag(&args, "--batch")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(8);
+            if let Err(e) = check_batch(batch) {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
             let sa = sa_opts(&args, 800);
             let iters = sa.iters;
             let arch = gemini::arch::presets::g_arch_72();
@@ -312,6 +316,10 @@ fn main() -> ExitCode {
             let batch: u32 = flag(&args, "--batch")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(8);
+            if let Err(e) = check_batch(batch) {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
             let sa = sa_opts(&args, 300);
             let iters = sa.iters;
             let fabric = ArchConfig::builder()

@@ -218,6 +218,27 @@ fn unknown_model_and_preset_are_rejected() {
     assert!(!ok);
 }
 
+/// A zero batch once panicked in the stripe mapper; every verb that
+/// takes `--batch` now refuses it with exit code 1 and a message.
+#[test]
+fn zero_batch_is_refused_without_a_panic() {
+    for args in [
+        &["map", "gn", "--batch", "0"][..],
+        &["dse", "--stride", "2000", "--batch", "0"],
+        &["heatmap", "two-conv", "--batch", "0"],
+        &["hetero", "two-conv", "--batch", "0"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gemini"))
+            .args(args)
+            .output()
+            .expect("spawn gemini CLI");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("batch must be at least 1"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn unknown_subcommand_prints_the_full_verb_list() {
     let (ok, _, err) = gemini(&["frobnicate"]);

@@ -206,6 +206,29 @@ fn warm_daemon_reports_strictly_more_cache_hits() {
     daemon.shutdown();
 }
 
+/// A zero-batch `map` gets a typed `bad_request` and does not take the
+/// only worker down: a valid `map` sent after it is still answered.
+#[test]
+fn zero_batch_is_refused_and_the_worker_survives() {
+    let daemon = Daemon::spawn(&["--workers", "1"]);
+    let rs = daemon.request(&[r#"{"id":"z","verb":"map","model":"gn","batch":0}"#]);
+    assert_eq!(rs[0].get("ok").and_then(Value::as_bool), Some(false));
+    let error = rs[0].get("error").unwrap();
+    assert_eq!(
+        error.get("code").and_then(Value::as_str),
+        Some("bad_request")
+    );
+    assert_eq!(
+        error.get("detail").and_then(Value::as_str),
+        Some("batch must be at least 1")
+    );
+    let rs = daemon.request(&[
+        r#"{"id":"v","verb":"map","model":"two-conv","batch":2,"iters":20,"threads":1}"#,
+    ]);
+    assert!(!payload_report(&rs[0]).is_empty());
+    daemon.shutdown();
+}
+
 /// With one worker and a one-slot queue, a third concurrent request is
 /// refused immediately with `busy` — explicit backpressure, not
 /// buffering.
