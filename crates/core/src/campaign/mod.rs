@@ -61,6 +61,7 @@ use gemini_model::Dnn;
 use gemini_noc::flowsim::FlowSimWorkspace;
 use gemini_sim::Evaluator;
 
+use crate::dse::geomean;
 use crate::engine::{MappingEngine, MappingOptions};
 use crate::sa::SaOptions;
 
@@ -451,10 +452,7 @@ fn evaluate_cell(
             })
         })
         .collect();
-    let n = per_dnn.len().max(1) as f64;
-    let geo = |f: &dyn Fn(&DnnCellMetrics) -> f64| -> f64 {
-        (per_dnn.iter().map(|m| f(m).ln()).sum::<f64>() / n).exp()
-    };
+    let geo = |f: &dyn Fn(&DnnCellMetrics) -> f64| geomean(per_dnn.iter().map(f));
     let energy = geo(&|m| m.energy);
     let delay = geo(&|m| m.delay);
     let bound_edp_gap = geo(&|m| m.bound_edp_gap);

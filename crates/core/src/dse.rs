@@ -6,6 +6,12 @@
 //! by the mapping engine on that candidate. Exploration parallelizes
 //! over candidates with a scoped-thread worker pool.
 //!
+//! One driver serves every kind of candidate: homogeneous architectures
+//! here and the per-chiplet class assignments of [`crate::hetero_dse`]
+//! both implement the crate-private `Candidate` trait (evaluate, bound,
+//! pruned stand-in, remap), and the rung-0 pre-filter and fidelity
+//! ladder run once, generically, over it.
+//!
 //! [`scale_arch`] supports the chiplet-reuse study (Sec. VII-B): it
 //! builds a higher-compute accelerator out of more instances of the same
 //! computing chiplet.
@@ -17,7 +23,8 @@ use gemini_cost::CostModel;
 use gemini_model::Dnn;
 use gemini_sim::Evaluator;
 
-use crate::engine::{parse_all, MappingEngine, MappingOptions};
+use crate::encoding::{GroupSpec, Lms};
+use crate::engine::{parse_all, MappedDnn, MappingEngine, MappingOptions};
 use crate::fidelity::{BoundMode, BoundStats, DseReport, FidelityPolicy, FluidRescore};
 use crate::partition::partition_graph;
 use crate::stripe::stripe_lms;
@@ -214,6 +221,59 @@ impl DseRecord {
     }
 }
 
+/// What the DSE driver reads and writes on a record of either kind
+/// ([`DseRecord`] or [`crate::hetero_dse::HeteroDseRecord`]).
+pub trait ExploredRecord {
+    /// Monetary cost ($).
+    fn mc(&self) -> f64;
+    /// Geometric-mean energy over the DNNs (J).
+    fn energy(&self) -> f64;
+    /// Geometric-mean delay over the DNNs (s).
+    fn delay(&self) -> f64;
+    /// Objective score.
+    fn score(&self) -> f64;
+    /// Whether the candidate was pruned before SA (its metrics are then
+    /// bound values).
+    fn pruned(&self) -> bool;
+    /// Attaches the rung-0 bound diagnostics.
+    fn set_bound(&mut self, bound: RecordBound);
+    /// Attaches the fidelity re-rank's re-score.
+    fn set_fluid(&mut self, fluid: FluidRescore);
+}
+
+/// Implements [`ExploredRecord`] over the like-named fields both record
+/// types carry.
+macro_rules! explored_record {
+    ($record:ty) => {
+        impl ExploredRecord for $record {
+            fn mc(&self) -> f64 {
+                self.mc
+            }
+            fn energy(&self) -> f64 {
+                self.energy
+            }
+            fn delay(&self) -> f64 {
+                self.delay
+            }
+            fn score(&self) -> f64 {
+                self.score
+            }
+            fn pruned(&self) -> bool {
+                self.pruned
+            }
+            fn set_bound(&mut self, bound: RecordBound) {
+                self.bound = Some(bound);
+            }
+            fn set_fluid(&mut self, fluid: FluidRescore) {
+                self.fluid = Some(fluid);
+            }
+        }
+    };
+}
+
+explored_record!(DseRecord);
+explored_record!(crate::hetero_dse::HeteroDseRecord);
+
 /// DSE options.
 #[derive(Debug, Clone)]
 pub struct DseOptions {
@@ -256,11 +316,14 @@ impl Default for DseOptions {
     }
 }
 
-/// DSE result: all evaluated records plus the best index.
+/// DSE result: all evaluated records plus the best index. `R` is
+/// [`DseRecord`] for the homogeneous sweep and
+/// [`crate::hetero_dse::HeteroDseRecord`] for the heterogeneous one
+/// ([`crate::hetero_dse::HeteroDseResult`]).
 #[derive(Debug, Clone)]
-pub struct DseResult {
+pub struct DseResult<R = DseRecord> {
     /// Evaluated candidates.
-    pub records: Vec<DseRecord>,
+    pub records: Vec<R>,
     /// Index of the best record under the objective (after any fidelity
     /// re-rank the options requested).
     pub best: usize,
@@ -269,9 +332,9 @@ pub struct DseResult {
     pub report: DseReport,
 }
 
-impl DseResult {
-    /// The best architecture found.
-    pub fn best_record(&self) -> &DseRecord {
+impl<R: ExploredRecord> DseResult<R> {
+    /// The best candidate found.
+    pub fn best_record(&self) -> &R {
         &self.records[self.best]
     }
 
@@ -283,15 +346,93 @@ impl DseResult {
     /// re-rank that overturned the analytic winner, `best_under` with
     /// the original objective can therefore disagree with
     /// [`DseResult::best_record`].
-    pub fn best_under(&self, obj: Objective) -> &DseRecord {
+    pub fn best_under(&self, obj: Objective) -> &R {
         self.records
             .iter()
             .min_by(|a, b| {
-                let sa = obj.score(a.mc, a.energy, a.delay);
-                let sb = obj.score(b.mc, b.energy, b.delay);
+                let sa = obj.score(a.mc(), a.energy(), a.delay());
+                let sb = obj.score(b.mc(), b.energy(), b.delay());
                 sa.total_cmp(&sb)
             })
             .expect("non-empty DSE")
+    }
+}
+
+/// Geometric mean, `exp(mean(ln x))`; 1 for no values.
+pub(crate) fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let (mut log_sum, mut n) = (0.0, 0usize);
+    for x in xs {
+        log_sum += x.ln();
+        n += 1;
+    }
+    (log_sum / n.max(1) as f64).exp()
+}
+
+/// One kind of DSE candidate, as the driver ([`explore`]) sweeps it.
+/// Implemented for homogeneous architectures ([`ArchConfig`]) here and
+/// for heterogeneous class assignments in [`crate::hetero_dse`].
+pub(crate) trait Candidate: Sync {
+    /// The record the sweep keeps per candidate.
+    type Record: ExploredRecord + Send + Sync;
+
+    /// Maps every DNN on the candidate and scores the result.
+    fn evaluate(&self, dnns: &[Dnn], cost: &CostModel, opts: &DseOptions) -> Self::Record;
+
+    /// The rung-0 lower bound (see [`bound_candidate`]).
+    fn bound(&self, dnns: &[Dnn], cost: &CostModel, opts: &DseOptions) -> CandidateBound;
+
+    /// The record of a pruned candidate: exact monetary cost, bound
+    /// metrics in place of achieved ones, no mapping data. Its score is
+    /// strictly worse than the achieved scores of at least
+    /// `survivors_needed` evaluated seeds, so it can never be selected
+    /// as winner or enter the fidelity top-K.
+    fn pruned_record(&self, cost: &CostModel, cb: &CandidateBound) -> Self::Record;
+
+    /// Builds the candidate's evaluator and maps every DNN on it. The
+    /// SA engine is bit-identical given the same options, so the
+    /// fidelity stage gets exactly the analytic pass's mappings back.
+    fn remap(&self, dnns: &[Dnn], opts: &DseOptions) -> (Evaluator, Vec<MappedDnn>);
+}
+
+impl Candidate for ArchConfig {
+    type Record = DseRecord;
+
+    fn evaluate(&self, dnns: &[Dnn], cost: &CostModel, opts: &DseOptions) -> DseRecord {
+        evaluate_candidate(self, dnns, cost, opts)
+    }
+
+    fn bound(&self, dnns: &[Dnn], cost: &CostModel, opts: &DseOptions) -> CandidateBound {
+        let ev = Evaluator::new(self);
+        bound_candidate(&ev, cost.evaluate(self).total(), dnns, opts, |dnn, g| {
+            stripe_lms(dnn, self, g)
+        })
+    }
+
+    fn pruned_record(&self, cost: &CostModel, cb: &CandidateBound) -> DseRecord {
+        let mc_rep = cost.evaluate(self);
+        DseRecord {
+            arch: self.clone(),
+            mc: mc_rep.total(),
+            mc_breakdown: (mc_rep.silicon, mc_rep.dram, mc_rep.package),
+            energy: cb.energy,
+            delay: cb.delay,
+            score: cb.score,
+            per_dnn: Vec::new(),
+            fluid: None,
+            sa_stats: crate::sa::SaStats::default(),
+            bound: None,
+            pruned: true,
+        }
+    }
+
+    fn remap(&self, dnns: &[Dnn], opts: &DseOptions) -> (Evaluator, Vec<MappedDnn>) {
+        let ev = Evaluator::new(self);
+        let engine = MappingEngine::new(&ev);
+        let mapped = dnns
+            .iter()
+            .map(|d| engine.map(d, opts.batch, &opts.mapping))
+            .collect();
+        (ev, mapped)
     }
 }
 
@@ -303,26 +444,24 @@ pub fn evaluate_candidate(
     opts: &DseOptions,
 ) -> DseRecord {
     let mc_rep = cost.evaluate(arch);
-    let ev = Evaluator::new(arch);
-    let engine = MappingEngine::new(&ev);
-    let mut per_dnn = Vec::with_capacity(dnns.len());
-    let mut log_e = 0.0;
-    let mut log_d = 0.0;
+    let (_, mapped) = arch.remap(dnns, opts);
     let mut sa_stats = crate::sa::SaStats::default();
-    for dnn in dnns {
-        let mapped = engine.map(dnn, opts.batch, &opts.mapping);
-        let e = mapped.report.energy.total();
-        let d = mapped.report.delay_s;
-        log_e += e.ln();
-        log_d += d.ln();
-        if let Some(s) = &mapped.sa_stats {
-            sa_stats.add_counters(s);
-        }
-        per_dnn.push((dnn.name().to_string(), e, d));
-    }
-    let n = dnns.len().max(1) as f64;
-    let energy = (log_e / n).exp();
-    let delay = (log_d / n).exp();
+    let per_dnn: Vec<(String, f64, f64)> = dnns
+        .iter()
+        .zip(&mapped)
+        .map(|(dnn, m)| {
+            if let Some(s) = &m.sa_stats {
+                sa_stats.add_counters(s);
+            }
+            (
+                dnn.name().to_string(),
+                m.report.energy.total(),
+                m.report.delay_s,
+            )
+        })
+        .collect();
+    let energy = geomean(per_dnn.iter().map(|p| p.1));
+    let delay = geomean(per_dnn.iter().map(|p| p.2));
     let mc = mc_rep.total();
     DseRecord {
         arch: arch.clone(),
@@ -340,35 +479,29 @@ pub fn evaluate_candidate(
 }
 
 /// Rung-0 bound of one candidate: the closed-form lower bound of
-/// [`gemini_sim::bound`] on the structural stripe mapping (flow
-/// selectors and batch units are invariant across the SA space, so the
-/// result bounds every mapping SA could reach), geometric-meaned over
-/// the DNNs and scored with the exact monetary cost.
+/// [`gemini_sim::bound`] on the structural stripe mapping `stripe`
+/// builds per group (flow selectors and batch units are invariant
+/// across the SA space, so the result bounds every mapping SA could
+/// reach), geometric-meaned over the DNNs and scored with the exact
+/// monetary cost `mc`.
 pub(crate) fn bound_candidate(
-    arch: &ArchConfig,
+    ev: &Evaluator,
+    mc: f64,
     dnns: &[Dnn],
-    cost: &CostModel,
     opts: &DseOptions,
+    stripe: impl Fn(&Dnn, &GroupSpec) -> Lms,
 ) -> CandidateBound {
-    let mc = cost.evaluate(arch).total();
-    let ev = Evaluator::new(arch);
-    let mut log_e = 0.0;
-    let mut log_d = 0.0;
-    for dnn in dnns {
-        let partition = partition_graph(dnn, arch, opts.batch, &opts.mapping.partition);
-        let lms: Vec<crate::encoding::Lms> = partition
-            .groups
-            .iter()
-            .map(|g| stripe_lms(dnn, arch, g))
-            .collect();
-        let gms = parse_all(dnn, &partition, &lms);
-        let b = gemini_sim::bound::dnn_bound(&ev, dnn, &gms, opts.batch);
-        log_e += b.energy_j.ln();
-        log_d += b.delay_s.ln();
-    }
-    let n = dnns.len().max(1) as f64;
-    let energy = (log_e / n).exp();
-    let delay = (log_d / n).exp();
+    let bounds: Vec<gemini_sim::bound::DnnBound> = dnns
+        .iter()
+        .map(|dnn| {
+            let partition = partition_graph(dnn, ev.arch(), opts.batch, &opts.mapping.partition);
+            let lms: Vec<Lms> = partition.groups.iter().map(|g| stripe(dnn, g)).collect();
+            let gms = parse_all(dnn, &partition, &lms);
+            gemini_sim::bound::dnn_bound(ev, dnn, &gms, opts.batch)
+        })
+        .collect();
+    let energy = geomean(bounds.iter().map(|b| b.energy_j));
+    let delay = geomean(bounds.iter().map(|b| b.delay_s));
     CandidateBound {
         score: opts.objective.score(mc, energy, delay),
         energy,
@@ -384,37 +517,11 @@ pub(crate) struct CandidateBound {
     pub(crate) delay: f64,
 }
 
-/// The rung-0 pre-filter plan: per-candidate bounds, the seed set that
-/// establishes the achieved threshold, and the prune mask. Identical
-/// between [`BoundMode::Report`] and [`BoundMode::Prune`] (the mask is
-/// computed either way; only `Prune` acts on it).
-pub(crate) struct BoundPlan {
-    pub(crate) bounds: Vec<CandidateBound>,
-    pub(crate) seed: Vec<bool>,
-    pub(crate) pruned: Vec<bool>,
-    pub(crate) threshold: f64,
-}
-
-impl BoundPlan {
-    /// Report statistics; `winner_gap` is the winner's achieved/bound
-    /// score ratio.
-    pub(crate) fn stats(&self, winner_achieved: f64, winner: usize) -> BoundStats {
-        let wb = self.bounds[winner].score;
-        BoundStats {
-            total: self.bounds.len(),
-            seeds: self.seed.iter().filter(|&&s| s).count(),
-            pruned: self.pruned.iter().filter(|&&p| p).count(),
-            threshold: self.threshold,
-            winner_gap: if wb > 0.0 { winner_achieved / wb } else { 1.0 },
-        }
-    }
-}
-
 /// How many best-bounded candidates are fully evaluated to establish
 /// the achieved prune threshold. Must be at least the fidelity
 /// re-rank's `k` so the achieved top-K provably survives pruning; the
 /// floor of 8 keeps the threshold honest on `analytic`-only sweeps.
-pub(crate) fn seed_count(policy: &FidelityPolicy, n: usize) -> usize {
+fn seed_count(policy: &FidelityPolicy, n: usize) -> usize {
     let k = policy.rerank_params().map(|(k, _)| k).unwrap_or(0);
     k.max(8).min(n.max(1))
 }
@@ -423,7 +530,7 @@ pub(crate) fn seed_count(policy: &FidelityPolicy, n: usize) -> usize {
 /// prune threshold for pruning to be invisible: the fidelity re-rank
 /// consumes the achieved top-`k`, so `k` of them must survive; the
 /// plain analytic policy only needs the winner.
-pub(crate) fn survivors_needed(policy: &FidelityPolicy) -> usize {
+fn survivors_needed(policy: &FidelityPolicy) -> usize {
     policy.rerank_params().map(|(k, _)| k).unwrap_or(0).max(1)
 }
 
@@ -433,7 +540,7 @@ pub(crate) fn survivors_needed(policy: &FidelityPolicy) -> usize {
 /// achieved seed score, so the true winner — whose achieved score is
 /// at most that threshold, hence also its bound — is never flagged,
 /// and neither is any candidate of the achieved top-K.
-pub(crate) fn bound_seed_mask(bounds: &[CandidateBound], n_seeds: usize) -> Vec<bool> {
+fn bound_seed_mask(bounds: &[CandidateBound], n_seeds: usize) -> Vec<bool> {
     let mut order: Vec<usize> = (0..bounds.len()).collect();
     order.sort_by(|&a, &b| bounds[a].score.total_cmp(&bounds[b].score).then(a.cmp(&b)));
     let mut seed = vec![false; bounds.len()];
@@ -441,28 +548,6 @@ pub(crate) fn bound_seed_mask(bounds: &[CandidateBound], n_seeds: usize) -> Vec<
         seed[i] = true;
     }
     seed
-}
-
-/// The record of a pruned candidate: exact monetary cost, bound
-/// metrics in place of achieved ones, no per-DNN data and zeroed SA
-/// counters. Its score is strictly worse than the achieved scores of
-/// at least `survivors_needed` evaluated seeds, so it can never be
-/// selected as winner or enter the fidelity top-K.
-fn pruned_record(arch: &ArchConfig, cost: &CostModel, cb: &CandidateBound) -> DseRecord {
-    let mc_rep = cost.evaluate(arch);
-    DseRecord {
-        arch: arch.clone(),
-        mc: mc_rep.total(),
-        mc_breakdown: (mc_rep.silicon, mc_rep.dram, mc_rep.package),
-        energy: cb.energy,
-        delay: cb.delay,
-        score: cb.score,
-        per_dnn: Vec::new(),
-        fluid: None,
-        sa_stats: crate::sa::SaStats::default(),
-        bound: None,
-        pruned: true,
-    }
 }
 
 /// Runs the exhaustive DSE over a parameter grid.
@@ -503,7 +588,21 @@ pub fn run_dse(dnns: &[Dnn], spec: &DseSpec, opts: &DseOptions) -> DseResult {
 /// carries the identical plan and counters, so the [`DseReport`] is
 /// byte-identical between the two modes and the winner is byte-identical
 /// to `Off`.
+///
+/// # Panics
+///
+/// Panics if `candidates` is empty.
 pub fn run_dse_over(candidates: &[ArchConfig], dnns: &[Dnn], opts: &DseOptions) -> DseResult {
+    explore(candidates, dnns, opts)
+}
+
+/// The DSE driver for any kind of candidate: the body of
+/// [`run_dse_over`] and [`crate::hetero_dse::run_hetero_dse`].
+pub(crate) fn explore<C: Candidate>(
+    candidates: &[C],
+    dnns: &[Dnn],
+    opts: &DseOptions,
+) -> DseResult<C::Record> {
     assert!(!candidates.is_empty(), "no valid DSE candidates");
     let cost = CostModel::default();
     let n = candidates.len();
@@ -513,12 +612,21 @@ pub fn run_dse_over(candidates: &[ArchConfig], dnns: &[Dnn], opts: &DseOptions) 
     if workers > 1 && opts_inner.mapping.sa.threads == 0 {
         opts_inner.mapping.sa.threads = 1;
     }
+    let opts_inner = &opts_inner;
+    // Evaluates the candidates at `idx`, results in `idx` order.
+    let evaluate = |idx: &[usize]| {
+        crate::pool::parallel_map_indexed(workers, idx.len(), |j| {
+            candidates[idx[j]].evaluate(dnns, &cost, opts_inner)
+        })
+    };
 
-    let mut bound_plan: Option<BoundPlan> = None;
-    let mut records: Vec<DseRecord> = if opts.bound.active() {
+    // `(stats, bounds)` of the rung-0 pass; the stats' winner gap is
+    // filled once the fidelity stages have picked the winner.
+    let mut rung0: Option<(BoundStats, Vec<CandidateBound>)> = None;
+    let mut records: Vec<C::Record> = if opts.bound.active() {
         // Rung 0, bound pass: closed-form lower bound per candidate.
         let bounds: Vec<CandidateBound> = crate::pool::parallel_map_indexed(workers, n, |i| {
-            bound_candidate(&candidates[i], dnns, &cost, opts)
+            candidates[i].bound(dnns, &cost, opts)
         });
         // A non-monotone objective inverts bound comparisons, so every
         // candidate becomes a seed and nothing can be flagged.
@@ -531,17 +639,13 @@ pub fn run_dse_over(candidates: &[ArchConfig], dnns: &[Dnn], opts: &DseOptions) 
         // Phase A: evaluate the best-bounded seeds to establish an
         // *achieved* incumbent threshold.
         let seed_idx: Vec<usize> = (0..n).filter(|&i| seed[i]).collect();
-        let seed_records: Vec<DseRecord> = crate::pool::parallel_map_indexed(
-            workers.min(seed_idx.len()).max(1),
-            seed_idx.len(),
-            |j| evaluate_candidate(&candidates[seed_idx[j]], dnns, &cost, &opts_inner),
-        );
+        let seed_records = evaluate(&seed_idx);
         // The threshold is the `survivors_needed`-th best achieved
         // seed score: a flagged candidate's achieved score is then
         // strictly worse than at least that many evaluated candidates,
         // so neither the winner nor any member of the achieved top-K
         // (the re-rank input) can ever be flagged.
-        let mut achieved: Vec<f64> = seed_records.iter().map(|r| r.score).collect();
+        let mut achieved: Vec<f64> = seed_records.iter().map(|r| r.score()).collect();
         achieved.sort_by(f64::total_cmp);
         let need = survivors_needed(&opts.fidelity).min(achieved.len());
         let threshold = if need == 0 {
@@ -561,99 +665,61 @@ pub fn run_dse_over(candidates: &[ArchConfig], dnns: &[Dnn], opts: &DseOptions) 
         let rest: Vec<usize> = (0..n)
             .filter(|&i| !(seed[i] || opts.bound.prunes() && pruned[i]))
             .collect();
-        let rest_records: Vec<DseRecord> = if rest.is_empty() {
-            Vec::new()
-        } else {
-            crate::pool::parallel_map_indexed(workers.min(rest.len()), rest.len(), |j| {
-                evaluate_candidate(&candidates[rest[j]], dnns, &cost, &opts_inner)
-            })
-        };
+        let rest_records = evaluate(&rest);
         // Assemble in candidate order; flagged-and-skipped slots get a
         // bound-valued stand-in record.
-        let mut slots: Vec<Option<DseRecord>> = (0..n).map(|_| None).collect();
-        for (i, r) in seed_idx.into_iter().zip(seed_records) {
-            slots[i] = Some(r);
-        }
-        for (i, r) in rest.into_iter().zip(rest_records) {
-            slots[i] = Some(r);
-        }
-        let recs: Vec<DseRecord> = slots
+        let mut slots: Vec<Option<C::Record>> = (0..n).map(|_| None).collect();
+        for (i, r) in seed_idx
             .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let mut r = s.unwrap_or_else(|| pruned_record(&candidates[i], &cost, &bounds[i]));
-                let gap = if r.pruned || bounds[i].score <= 0.0 {
+            .chain(rest)
+            .zip(seed_records.into_iter().chain(rest_records))
+        {
+            slots[i] = Some(r);
+        }
+        let recs = slots
+            .into_iter()
+            .zip(candidates.iter().zip(&bounds))
+            .map(|(s, (c, b))| {
+                let mut r = s.unwrap_or_else(|| c.pruned_record(&cost, b));
+                let gap = if r.pruned() || b.score <= 0.0 {
                     None
                 } else {
-                    Some(r.score / bounds[i].score)
+                    Some(r.score() / b.score)
                 };
-                r.bound = Some(RecordBound {
-                    score: bounds[i].score,
-                    energy: bounds[i].energy,
-                    delay: bounds[i].delay,
+                r.set_bound(RecordBound {
+                    score: b.score,
+                    energy: b.energy,
+                    delay: b.delay,
                     gap,
                 });
                 r
             })
             .collect();
-        bound_plan = Some(BoundPlan {
-            bounds,
-            seed,
-            pruned,
+        let stats = BoundStats {
+            total: n,
+            seeds: n_seeds,
+            pruned: pruned.iter().filter(|&&p| p).count(),
             threshold,
-        });
+            winner_gap: 1.0,
+        };
+        rung0 = Some((stats, bounds));
         recs
     } else {
-        crate::pool::parallel_map_indexed(workers, n, |i| {
-            evaluate_candidate(&candidates[i], dnns, &cost, &opts_inner)
-        })
+        evaluate(&(0..n).collect::<Vec<_>>())
     };
-
-    // Pruned stand-ins carry bound scores strictly worse than the
-    // achieved threshold (itself at least the winner's achieved score),
-    // so masking them to infinity cannot move the minimum — it only
-    // guarantees the fidelity top-K never touches a record without
-    // per-DNN data.
-    let scores: Vec<f64> = records
-        .iter()
-        .map(|r| if r.pruned { f64::INFINITY } else { r.score })
-        .collect();
-    let analytic_best = scores
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.total_cmp(b))
-        .map(|(i, _)| i)
-        .expect("non-empty");
 
     // Fidelity stages (no-op under `FidelityPolicy::Analytic`): fluid
     // re-rank of the top-K analytic survivors, then optional packet
-    // validation of the winner. The SA engine is deterministic, so the
-    // `remap` closure reproduces the analytic pass's mappings exactly.
-    let mcs_energies: Vec<(f64, f64)> = records.iter().map(|r| (r.mc, r.energy)).collect();
-    let (best, report, rescores) = crate::fidelity::run_fidelity_stage(
-        &opts.fidelity,
-        opts.objective,
-        &scores,
-        &mcs_energies,
-        analytic_best,
-        opts.threads.max(1),
-        dnns,
-        |i| {
-            let ev = Evaluator::new(&candidates[i]);
-            let engine = MappingEngine::new(&ev);
-            let mapped = dnns
-                .iter()
-                .map(|d| engine.map(d, opts.batch, &opts_inner.mapping))
-                .collect();
-            (ev, mapped)
-        },
-    );
-    for (i, fr) in rescores {
-        records[i].fluid = Some(fr);
-    }
-    let mut report = report;
-    if let Some(plan) = &bound_plan {
-        report.bound = Some(plan.stats(records[best].score, best));
+    // validation of the winner.
+    let (best, mut report) = crate::fidelity::run_fidelity_stage(opts, &mut records, dnns, |i| {
+        candidates[i].remap(dnns, opts_inner)
+    });
+    if let Some((mut stats, bounds)) = rung0 {
+        let wb = bounds[best].score;
+        if wb > 0.0 {
+            stats.winner_gap = records[best].score() / wb;
+        }
+        report.bound = Some(stats);
     }
     DseResult {
         records,

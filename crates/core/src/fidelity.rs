@@ -5,7 +5,7 @@
 //! conclusions drawn from it are only as good as its congestion
 //! fidelity. This module promotes the reference simulators of
 //! `gemini-noc` from an offline audit (`gemini_sim::check_group`, the
-//! `fidelity_ladder` example) to a policy the DSE drivers consult:
+//! `fidelity_ladder` example) to a policy the DSE driver consults:
 //!
 //! 1. **Analytic** (rung 0): the SA inner loop and candidate ranking
 //!    use the cheap per-link model, exactly as before.
@@ -28,10 +28,10 @@
 //!    into [`gemini_sim::EvalOptions`] so the cheap model stays honest
 //!    on the workloads actually explored.
 //!
-//! Both DSE drivers ([`crate::dse::run_dse_over`] and
-//! [`crate::hetero_dse::run_hetero_dse`]) honour the policy via
-//! [`crate::dse::DseOptions::fidelity`] and attach the resulting
-//! [`DseReport`] to their results. Monolithic candidates
+//! The one DSE driver behind [`crate::dse::run_dse_over`] and
+//! [`crate::hetero_dse::run_hetero_dse`] honours the policy via
+//! [`crate::dse::DseOptions::fidelity`] and attaches the resulting
+//! [`DseReport`] to its result. Monolithic candidates
 //! (XCut = YCut = 1) have no D2D links; every stage here handles the
 //! zero-D2D case.
 
@@ -45,7 +45,7 @@ use gemini_sim::{
     GroupMapping,
 };
 
-use crate::dse::Objective;
+use crate::dse::{geomean, DseOptions, ExploredRecord};
 use crate::engine::MappedDnn;
 
 /// Configuration of the fluid re-rank replays.
@@ -130,7 +130,7 @@ impl FidelityPolicy {
     }
 }
 
-/// Rung-0 analytic-bound pre-filter mode of the DSE drivers
+/// Rung-0 analytic-bound pre-filter mode of the DSE driver
 /// ([`crate::dse::DseOptions::bound`]).
 ///
 /// The bound pass computes, for every candidate, the closed-form lower
@@ -328,7 +328,7 @@ pub struct DseReport {
     /// compute-bound mappings).
     pub suggested_congestion_weight: Option<f64>,
     /// Rung-0 bound pre-filter statistics (`None` when the DSE ran with
-    /// [`BoundMode::Off`]). Filled by the DSE drivers after the
+    /// [`BoundMode::Off`]). Filled by the DSE driver after the
     /// fidelity stages; identical between [`BoundMode::Report`] and
     /// [`BoundMode::Prune`].
     pub bound: Option<BoundStats>,
@@ -431,50 +431,55 @@ pub(crate) fn fluid_rescore_delay(
     cfg: &FluidConfig,
 ) -> (f64, Vec<GroupDiscrepancy>, Vec<Vec<GroupMapping>>) {
     let mut ws = FlowSimWorkspace::new();
-    let mut log_d = 0.0;
+    let mut delays = Vec::with_capacity(dnns.len());
     let mut groups = Vec::new();
     let mut all_gms = Vec::with_capacity(dnns.len());
     for (dnn, m) in dnns.iter().zip(mapped) {
         let (corrected, dnn_groups, gms) = fluid_replay_dnn(ev, dnn, m, cfg, &mut ws);
-        log_d += corrected.ln();
+        delays.push(corrected);
         groups.extend(dnn_groups);
         all_gms.push(gms);
     }
-    let n = dnns.len().max(1) as f64;
-    ((log_d / n).exp(), groups, all_gms)
+    (geomean(delays), groups, all_gms)
 }
 
-/// Runs the re-rank (and optional winner-validation) stage shared by
-/// the homogeneous and heterogeneous DSE drivers.
+/// Runs the re-rank (and optional winner-validation) stage of the DSE
+/// driver ([`crate::dse`]) over its analytic `records`.
 ///
-/// `scores` / `mcs_energies` describe the analytic records;
 /// `remap(i)` rebuilds record `i`'s evaluator and deterministic
 /// mappings (the SA engine is bit-identical given the same options, so
 /// re-running it reproduces the analytic pass's mappings exactly).
-/// Returns the final winner index, the report, and the per-candidate
-/// re-scores to attach to the records. The top-K fan-out uses the same
-/// scoped worker pool as the candidate sweep; results are in
-/// deterministic index order regardless of `workers`.
-#[allow(clippy::too_many_arguments)] // both DSE drivers thread their full analytic state through
-pub(crate) fn run_fidelity_stage<F>(
-    policy: &FidelityPolicy,
-    objective: Objective,
-    scores: &[f64],
-    mcs_energies: &[(f64, f64)],
-    analytic_best: usize,
-    workers: usize,
+/// Attaches each re-score to its record and returns the final winner
+/// index and the report. The top-K fan-out uses the same scoped worker
+/// pool as the candidate sweep; results are in deterministic index
+/// order regardless of the worker count.
+pub(crate) fn run_fidelity_stage<R, F>(
+    opts: &DseOptions,
+    records: &mut [R],
     dnns: &[Dnn],
     remap: F,
-) -> (usize, DseReport, Vec<(usize, FluidRescore)>)
+) -> (usize, DseReport)
 where
+    R: ExploredRecord + Sync,
     F: Fn(usize) -> (Evaluator, Vec<MappedDnn>) + Sync,
 {
+    // Pruned stand-ins carry bound scores strictly worse than the
+    // achieved threshold (itself at least the winner's achieved score),
+    // so masking them to infinity cannot move the minimum — it only
+    // guarantees the top-K never touches a record without mapping data.
+    let scores: Vec<f64> = records
+        .iter()
+        .map(|r| if r.pruned() { f64::INFINITY } else { r.score() })
+        .collect();
+    let analytic_best = scores
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| a.total_cmp(b))
+        .map(|(i, _)| i)
+        .expect("non-empty");
+    let policy = &opts.fidelity;
     let Some((k, fluid_cfg)) = policy.rerank_params() else {
-        return (
-            analytic_best,
-            DseReport::analytic(analytic_best),
-            Vec::new(),
-        );
+        return (analytic_best, DseReport::analytic(analytic_best));
     };
     let k = k.clamp(1, scores.len());
 
@@ -495,11 +500,11 @@ where
         ev: Evaluator,
         gms: Vec<Vec<GroupMapping>>,
     }
-    let rescored: Vec<Rescored> = crate::pool::parallel_map_indexed(workers.clamp(1, k), k, |j| {
+    let rescored: Vec<Rescored> = crate::pool::parallel_map_indexed(opts.threads, k, |j| {
         let idx = topk[j];
         let (ev, mapped) = remap(idx);
         let (delay, groups, gms) = fluid_rescore_delay(&ev, dnns, &mapped, &fluid_cfg);
-        let (mc, energy) = mcs_energies[idx];
+        let (mc, energy) = (records[idx].mc(), records[idx].energy());
         let worst = groups
             .iter()
             .map(GroupDiscrepancy::fluid_vs_analytic)
@@ -507,7 +512,7 @@ where
         Rescored {
             fluid: FluidRescore {
                 delay,
-                score: objective.score(mc, energy, delay),
+                score: opts.objective.score(mc, energy, delay),
                 worst_fluid_vs_analytic: worst,
             },
             groups,
@@ -585,12 +590,10 @@ where
         suggested_congestion_weight: suggested,
         bound: None,
     };
-    let rescores = topk
-        .iter()
-        .zip(rescored)
-        .map(|(&index, r)| (index, r.fluid))
-        .collect();
-    (best, report, rescores)
+    for (&index, r) in topk.iter().zip(rescored) {
+        records[index].set_fluid(r.fluid);
+    }
+    (best, report)
 }
 
 #[cfg(test)]

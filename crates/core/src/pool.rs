@@ -1,5 +1,5 @@
 //! Scoped worker-pool helper shared by the SA engine and the DSE
-//! drivers.
+//! driver.
 //!
 //! One implementation of the "atomic work counter + slot vector +
 //! `std::thread::scope`" pattern, so panic handling and result ordering

@@ -112,6 +112,22 @@ pub fn check_batch(batch: u32) -> Result<(), ServiceError> {
     Ok(())
 }
 
+/// Refuses a target computing power no Table-I grid can be built for:
+/// one that is not finite or not above zero.
+///
+/// # Errors
+///
+/// [`ErrorCode::BadRequest`] when `tops` is NaN, infinite, zero or
+/// negative.
+pub fn check_tops(tops: f64) -> Result<(), ServiceError> {
+    if !(tops.is_finite() && tops > 0.0) {
+        return Err(ServiceError::bad_request(format!(
+            "tops must be a finite number above 0, got {tops}"
+        )));
+    }
+    Ok(())
+}
+
 /// Resolves an architecture preset name (the CLI's vocabulary).
 pub fn preset(name: &str) -> Option<ArchConfig> {
     match name {
@@ -531,6 +547,7 @@ impl ServiceState {
         let objective =
             Objective::parse(&p.objective).map_err(|e| ServiceError::bad_request(e.0))?;
         check_batch(p.batch)?;
+        check_tops(p.tops)?;
         let mut k = BTreeMap::new();
         k.insert("verb".to_string(), Value::from("dse"));
         k.insert("tops".to_string(), Value::Num(p.tops));
@@ -904,6 +921,34 @@ mod tests {
             assert_eq!(e.code, ErrorCode::BadRequest);
             assert_eq!(e.detail, "batch must be at least 1");
         }
+    }
+
+    #[test]
+    fn degenerate_tops_is_a_bad_request_for_dse() {
+        let state = ServiceState::one_shot();
+        for tops in [0.0, -5.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let e = state
+                .handle(&RequestBody::Dse(DseParams {
+                    tops,
+                    stride: 400,
+                    batch: 2,
+                    iters: 10,
+                    seed: 0,
+                    fidelity: "analytic".to_string(),
+                    rerank_k: 4,
+                    threads: None,
+                    sa_threads: 1,
+                    objective: "mc-e-d".to_string(),
+                }))
+                .unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest, "tops {tops}");
+            assert_eq!(
+                e.detail,
+                format!("tops must be a finite number above 0, got {tops}")
+            );
+        }
+        assert!(check_tops(72.0).is_ok());
+        assert!(check_tops(1e-3).is_ok());
     }
 
     #[test]

@@ -693,6 +693,7 @@ impl Evaluator {
                 } else {
                     // Unicast ablation: one full copy per destination.
                     for d in &dests {
+                        tree.clear();
                         self.net.route_cores(*pc, *d, tree);
                         traffic.add_path(tree, vol);
                     }
@@ -1082,20 +1083,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn broadcast_need_uses_multicast() {
-        // K-partitioned consumers all need the producer's full output;
-        // grouping by identical need region must pay shared links once.
-        let dnn = zoo::two_conv_example();
-        let arch = presets::g_arch_72();
-        let ev = Evaluator::new(&arch);
+    /// Producer at (0,0); two consumers in a row at (2,0), (3,0) with
+    /// K halved: both need the full conv1 output (3x3 conv, all C).
+    fn k_split_broadcast_mapping(dnn: &Dnn, arch: &gemini_arch::ArchConfig) -> GroupMapping {
         let conv1 = LayerId(1);
         let conv2 = LayerId(2);
         let s1 = dnn.layer(conv1).ofmap;
         let s2 = dnn.layer(conv2).ofmap;
-        // Producer at (0,0); two consumers in a row at (2,0), (3,0) with
-        // K halved: both need the full conv1 output (3x3 conv, all C).
-        let gm = GroupMapping {
+        GroupMapping {
             members: vec![
                 LayerAssignment {
                     layer: conv1,
@@ -1132,7 +1127,18 @@ mod tests {
                 },
             ],
             batch_unit: 1,
-        };
+        }
+    }
+
+    #[test]
+    fn broadcast_need_uses_multicast() {
+        // K-partitioned consumers all need the producer's full output;
+        // grouping by identical need region must pay shared links once.
+        let dnn = zoo::two_conv_example();
+        let arch = presets::g_arch_72();
+        let ev = Evaluator::new(&arch);
+        let s1 = dnn.layer(LayerId(1)).ofmap;
+        let gm = k_split_broadcast_mapping(&dnn, &arch);
         let r = ev.evaluate_group(&dnn, &gm, 1);
         // The link (0,0)->(1,0) carries the broadcast once: its bytes
         // must equal one copy of conv1's output, not two.
@@ -1263,7 +1269,7 @@ mod tests {
     #[test]
     fn unicast_ablation_pays_per_destination() {
         // The broadcast scenario of `broadcast_need_uses_multicast`:
-        // disabling multicast must roughly double the shared-link bytes.
+        // disabling multicast must double the shared-link bytes.
         let dnn = zoo::two_conv_example();
         let arch = presets::g_arch_72();
         let multi = Evaluator::new(&arch);
@@ -1272,11 +1278,7 @@ mod tests {
             EnergyModel::default(),
             opts_with(|o| o.multicast_enabled = false),
         );
-        let gm = two_layer_mapping(
-            &dnn,
-            &[arch.core_at(0, 0)],
-            &[arch.core_at(2, 0), arch.core_at(3, 0)],
-        );
+        let gm = k_split_broadcast_mapping(&dnn, &arch);
         let rm = multi.evaluate_group(&dnn, &gm, 1);
         let ru = uni.evaluate_group(&dnn, &gm, 1);
         assert!(
@@ -1284,6 +1286,18 @@ mod tests {
             "unicast {} must exceed multicast {}",
             ru.traffic.total_hop_bytes(),
             rm.traffic.total_hop_bytes()
+        );
+        // Each destination's copy carries only its own route: the link
+        // (0,0)->(1,0) that both routes share carries exactly two copies.
+        let mut p = Vec::new();
+        uni.network()
+            .route_cores(arch.core_at(0, 0), arch.core_at(1, 0), &mut p);
+        let one_copy = dnn.layer(LayerId(1)).ofmap.elems() as f64;
+        let bytes = ru.traffic.bytes_on(p[0]);
+        assert!(
+            (bytes - 2.0 * one_copy).abs() < 1.0,
+            "expected two unicast copies ({}), got {bytes}",
+            2.0 * one_copy
         );
     }
 

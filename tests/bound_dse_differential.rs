@@ -4,10 +4,13 @@
 //! `Report` and `Prune` must produce byte-identical reports at any
 //! worker count, at least 30% of the candidates must actually be
 //! pruned before SA, and the bound-seeded SA chain must stay
-//! bit-identical with delta evaluation on and off.
+//! bit-identical with delta evaluation on and off. The heterogeneous
+//! class-assignment sweep is held to the same winner and report
+//! contract.
 
 use gemini::core::dse::{run_dse, DseOptions, DseSpec};
 use gemini::core::engine::{MappingEngine, MappingOptions};
+use gemini::core::hetero_dse::{run_hetero_dse, HeteroDseSpec};
 use gemini::core::sa::SaOptions;
 use gemini::prelude::*;
 
@@ -128,6 +131,74 @@ fn pruning_is_invisible_on_the_strided_72tops_sweep() {
         let gap = rb.gap.expect("evaluated record has a gap");
         assert!(gap >= 1.0 - 1e-9, "achieved beat the bound: gap {gap}");
     }
+}
+
+/// The heterogeneous sweep runs the same rung-0 pipeline: on the
+/// `gemini hetero` fabric with three core classes (81 assignments),
+/// `Off`, `Report` and `Prune` elect the same winner at 1 and 4
+/// workers, `Report` and `Prune` produce equal reports, pruning skips
+/// at least one assignment, and no pruned stand-in wins.
+#[test]
+fn hetero_pruning_is_invisible_on_three_classes() {
+    let fabric = ArchConfig::builder()
+        .cores(6, 6)
+        .cuts(2, 2)
+        .noc_bw(32.0)
+        .d2d_bw(16.0)
+        .dram_bw(144.0)
+        .build()
+        .unwrap();
+    let spec = HeteroDseSpec {
+        fabric,
+        classes: vec![
+            CoreClass {
+                macs: 4096,
+                glb_bytes: 4 << 20,
+            },
+            CoreClass {
+                macs: 1024,
+                glb_bytes: 1 << 20,
+            },
+            CoreClass {
+                macs: 256,
+                glb_bytes: 256 << 10,
+            },
+        ],
+    };
+    let dnns = vec![gemini::model::zoo::two_conv_example()];
+    let run = |bound: BoundMode, workers: usize| {
+        let mut opts = sweep_opts(bound, workers);
+        opts.mapping.sa.iters = 30;
+        opts.mapping.sa.seed = 4;
+        run_hetero_dse(&dnns, &spec, &opts)
+    };
+
+    let off = run(BoundMode::Off, 1);
+    assert_eq!(off.records.len(), 81, "3 classes ^ 4 chiplets");
+    let mut reports = Vec::new();
+    for bound in [BoundMode::Off, BoundMode::Report, BoundMode::Prune] {
+        for workers in [1, 4] {
+            let res = run(bound, workers);
+            let tag = format!("{bound:?} at {workers} worker(s)");
+            assert_eq!(off.best, res.best, "winner moved under {tag}");
+            assert_eq!(
+                off.best_record().score.to_bits(),
+                res.best_record().score.to_bits(),
+                "winning score changed under {tag}"
+            );
+            assert!(!res.best_record().pruned, "a pruned record won under {tag}");
+            if bound != BoundMode::Off {
+                reports.push((tag, res.report));
+            }
+        }
+    }
+    let (_, first) = &reports[0];
+    for (tag, report) in &reports[1..] {
+        assert_eq!(first, report, "report differs under {tag}");
+    }
+    let stats = first.bound.as_ref().expect("bound stats");
+    assert_eq!(stats.total, 81);
+    assert!(stats.pruned >= 1, "no assignment pruned: {stats:?}");
 }
 
 /// The bound-seeded SA chain start (`SaOptions::bound_seed`) must not

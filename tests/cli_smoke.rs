@@ -239,6 +239,28 @@ fn zero_batch_is_refused_without_a_panic() {
     }
 }
 
+/// A `--tops` that is not a finite number above zero once panicked in
+/// the DSE driver (empty grid) or printed `MC $NaN`; it is now refused
+/// with exit code 1 and a message.
+#[test]
+fn degenerate_tops_is_refused_without_a_panic() {
+    for tops in ["0", "-5", "nan", "inf"] {
+        let args = ["dse", "--tops", tops, "--stride", "2000", "--batch", "1"];
+        let out = Command::new(env!("CARGO_BIN_EXE_gemini"))
+            .args(args)
+            .output()
+            .expect("spawn gemini CLI");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains("tops must be a finite number above 0"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing is explored");
+    }
+}
+
 #[test]
 fn unknown_subcommand_prints_the_full_verb_list() {
     let (ok, _, err) = gemini(&["frobnicate"]);

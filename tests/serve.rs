@@ -229,6 +229,36 @@ fn zero_batch_is_refused_and_the_worker_survives() {
     daemon.shutdown();
 }
 
+/// A `dse` whose `tops` is not above zero once panicked the only worker
+/// and took the whole daemon down; it now gets a typed `bad_request`,
+/// and a valid `map` sent after it is still answered.
+#[test]
+fn degenerate_tops_is_refused_and_the_worker_survives() {
+    let daemon = Daemon::spawn(&["--workers", "1"]);
+    let rs = daemon.request(&[
+        r#"{"id":"zero","verb":"dse","tops":0,"stride":2000,"batch":1}"#,
+        r#"{"id":"neg","verb":"dse","tops":-5,"stride":2000,"batch":1}"#,
+    ]);
+    for (id, tops) in [("zero", "0"), ("neg", "-5")] {
+        let r = by_id(&rs, id);
+        assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false), "{r:?}");
+        let error = r.get("error").unwrap();
+        assert_eq!(
+            error.get("code").and_then(Value::as_str),
+            Some("bad_request")
+        );
+        assert_eq!(
+            error.get("detail").and_then(Value::as_str),
+            Some(format!("tops must be a finite number above 0, got {tops}").as_str())
+        );
+    }
+    let rs = daemon.request(&[
+        r#"{"id":"v","verb":"map","model":"two-conv","batch":2,"iters":20,"threads":1}"#,
+    ]);
+    assert!(!payload_report(&rs[0]).is_empty());
+    daemon.shutdown();
+}
+
 /// With one worker and a one-slot queue, a third concurrent request is
 /// refused immediately with `busy` — explicit backpressure, not
 /// buffering.
