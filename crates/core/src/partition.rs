@@ -85,6 +85,14 @@ const E_NOC_HOP: f64 = 0.6;
 const E_MAC: f64 = 0.25;
 
 /// Partitions a DNN into layer groups with batch units, Tangram-style.
+///
+/// One forward pass: each segment start `j` extends its segment one
+/// layer at a time, updating per-sample integer aggregates (MACs,
+/// weight, activation, internal and DRAM bytes, pipeline depth)
+/// incrementally, and offers the [`group_cost`] of every batch unit to
+/// the segment's end. Each `dp[i]` sees its candidates in (start
+/// ascending, batch unit ascending) order, so ties resolve to the
+/// earliest start and the smallest unit.
 pub fn partition_graph(
     dnn: &Dnn,
     arch: &ArchConfig,
@@ -106,19 +114,23 @@ pub fn partition_graph(
     units.sort_unstable();
     units.dedup();
 
+    let mut walk = SegmentWalk::new(dnn, &layers);
+
     // dp[i]: best cost covering layers[0..i]; choice[i] = (j, batch_unit)
     // meaning the last group is layers[j..i].
     let mut dp = vec![f64::INFINITY; n + 1];
     let mut choice = vec![(0usize, 1u32); n + 1];
     dp[0] = 0.0;
-    for i in 1..=n {
-        for j in i.saturating_sub(max_len)..i {
-            if !dp[j].is_finite() {
-                continue;
-            }
-            let seg = &layers[j..i];
+    for j in 0..n {
+        if !dp[j].is_finite() {
+            continue;
+        }
+        let mut agg = SegmentAggregates::default();
+        for k in j..(j + max_len).min(n) {
+            walk.push(&mut agg, j, k);
+            let i = k + 1;
             for &bu in &units {
-                let c = group_cost(dnn, arch, seg, bu, batch);
+                let c = agg.cost(arch, bu, batch);
                 if dp[j] + c < dp[i] {
                     dp[i] = dp[j] + c;
                     choice[i] = (j, bu);
@@ -142,6 +154,78 @@ pub fn partition_graph(
     GraphPartition { groups }
 }
 
+/// Incremental aggregation of contiguous runs of the compute layers.
+struct SegmentWalk<'a> {
+    dnn: &'a Dnn,
+    layers: &'a [LayerId],
+    /// Index in `layers` of every compute layer, by layer id.
+    pos: Vec<usize>,
+    /// Index of each layer's last successor (`usize::MAX` if none).
+    last_succ: Vec<usize>,
+    /// Longest in-segment path ending at each member of the current
+    /// segment.
+    level: Vec<u32>,
+}
+
+impl<'a> SegmentWalk<'a> {
+    fn new(dnn: &'a Dnn, layers: &'a [LayerId]) -> Self {
+        let mut pos = vec![usize::MAX; dnn.len()];
+        for (k, id) in layers.iter().enumerate() {
+            pos[id.idx()] = k;
+        }
+        let last_succ = layers
+            .iter()
+            .map(|&id| {
+                dnn.succs(id)
+                    .iter()
+                    .map(|s| pos[s.idx()])
+                    .max()
+                    .unwrap_or(usize::MAX)
+            })
+            .collect();
+        Self {
+            dnn,
+            layers,
+            pos,
+            last_succ,
+            level: vec![0; layers.len()],
+        }
+    }
+
+    /// Extends `agg`, the aggregates of `layers[j..k]`, by `layers[k]`.
+    fn push(&mut self, agg: &mut SegmentAggregates, j: usize, k: usize) {
+        let dnn = self.dnn;
+        let id = self.layers[k];
+        let l = dnn.layer(id);
+        let macs = l.macs(1);
+        agg.macs += macs;
+        agg.max_layer_macs = agg.max_layer_macs.max(macs);
+        agg.weight_bytes += l.weight_bytes();
+        let out = l.ofmap.bytes();
+        agg.act_bytes += out;
+        // The output goes to DRAM until its last successor joins.
+        agg.ext_bytes += out;
+        let mut depth = 1;
+        let preds = dnn.preds(id);
+        for (e, &p) in preds.iter().enumerate() {
+            let vol = dnn.layer(p).ofmap.bytes();
+            agg.act_bytes += vol;
+            let q = self.pos[p.idx()];
+            if (j..k).contains(&q) {
+                agg.internal_bytes += vol;
+                depth = depth.max(self.level[q] + 1);
+                if self.last_succ[q] == k && !preds[..e].contains(&p) {
+                    agg.ext_bytes -= vol;
+                }
+            } else {
+                agg.ext_bytes += vol;
+            }
+        }
+        self.level[k] = depth;
+        agg.depth = agg.depth.max(depth);
+    }
+}
+
 /// Analytic cost estimate of one candidate group (lower is better).
 ///
 /// The DP needs an *additive* objective: summing per-group `delay *
@@ -151,80 +235,120 @@ pub fn partition_graph(
 /// derived from the architecture — a standard scalarization whose
 /// optimum tracks the E*D Pareto front. `f64::INFINITY` marks infeasible
 /// segments.
+///
+/// [`partition_graph`] scores its segments with the same function,
+/// building their aggregates incrementally instead of by a member scan.
 pub fn group_cost(dnn: &Dnn, arch: &ArchConfig, seg: &[LayerId], bu: u32, batch: u32) -> f64 {
-    let m = arch.n_cores() as f64;
-    let in_seg = |l: LayerId| seg.contains(&l);
-    let rounds = (batch as f64 / bu as f64).ceil().max(1.0);
-    let depth = dnn.depth_within(seg) as f64;
+    SegmentAggregates::of(dnn, seg).cost(arch, bu, batch)
+}
 
-    let mut macs: u64 = 0;
-    let mut weight_bytes: u64 = 0;
-    let mut ext_io_bytes: f64 = 0.0;
-    let mut internal_bytes: f64 = 0.0;
-    let mut act_bytes: f64 = 0.0;
-    let mut max_layer_macs: u64 = 0;
+/// Per-sample aggregates of one candidate group, from which
+/// [`SegmentAggregates::cost`] scores any batch unit: the MAC and
+/// activation terms scale linearly with the batch unit, the weights and
+/// the pipeline depth do not. All fields are exact integers, so scaling
+/// them reproduces the per-layer `batch_unit`-scaled sums bit for bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SegmentAggregates {
+    macs: u64,
+    max_layer_macs: u64,
+    weight_bytes: u64,
+    /// Member outputs plus every member input edge.
+    act_bytes: u64,
+    /// Input edges whose producer is a member.
+    internal_bytes: u64,
+    /// Input edges from outside the group plus member outputs with a
+    /// consumer outside it (or none at all): the DRAM traffic.
+    ext_bytes: u64,
+    depth: u32,
+}
 
-    for &id in seg {
-        let l = dnn.layer(id);
-        macs += l.macs(bu);
-        max_layer_macs = max_layer_macs.max(l.macs(bu));
-        weight_bytes += l.weight_bytes();
-        let out_bytes = l.ofmap.bytes() * bu as u64;
-        act_bytes += out_bytes as f64;
-        // External inputs (DNN input or earlier groups) come from DRAM.
-        for &p in dnn.preds(id) {
-            let vol = dnn.layer(p).ofmap.bytes() as f64 * bu as f64;
-            act_bytes += vol;
-            if in_seg(p) {
-                internal_bytes += vol;
-            } else {
-                ext_io_bytes += vol;
+impl SegmentAggregates {
+    /// Aggregates of an arbitrary member list (topological order), by a
+    /// direct scan with membership tests.
+    fn of(dnn: &Dnn, seg: &[LayerId]) -> Self {
+        let in_seg = |l: LayerId| seg.contains(&l);
+        let mut agg = SegmentAggregates {
+            depth: dnn.depth_within(seg),
+            ..Default::default()
+        };
+        for &id in seg {
+            let l = dnn.layer(id);
+            let macs = l.macs(1);
+            agg.macs += macs;
+            agg.max_layer_macs = agg.max_layer_macs.max(macs);
+            agg.weight_bytes += l.weight_bytes();
+            let out = l.ofmap.bytes();
+            agg.act_bytes += out;
+            // External inputs (DNN input or earlier groups) come from DRAM.
+            for &p in dnn.preds(id) {
+                let vol = dnn.layer(p).ofmap.bytes();
+                agg.act_bytes += vol;
+                if in_seg(p) {
+                    agg.internal_bytes += vol;
+                } else {
+                    agg.ext_bytes += vol;
+                }
+            }
+            // External outputs go to DRAM.
+            let succs = dnn.succs(id);
+            if succs.is_empty() || succs.iter().any(|&s| !in_seg(s)) {
+                agg.ext_bytes += out;
             }
         }
-        // External outputs go to DRAM.
-        let succs = dnn.succs(id);
-        if succs.is_empty() || succs.iter().any(|&s| !in_seg(s)) {
-            ext_io_bytes += out_bytes as f64;
-        }
+        agg
     }
 
-    // Aggregate working set (mirrors the evaluator's per-core model):
-    // weights plus one stage's activations must fit the combined GLBs;
-    // overflow spills to DRAM every round (write + re-read).
-    let glb_total = (arch.n_cores() as u64 * arch.glb_bytes()) as f64;
-    let working_set = weight_bytes as f64 + act_bytes;
-    let overflow = (working_set - glb_total).max(0.0);
-    // Weights load once per group execution, amortized over the rounds.
-    let dram_bytes = ext_io_bytes + weight_bytes as f64 / rounds + 2.0 * overflow;
-    let freq = arch.freq_ghz() * 1e9;
+    /// The group's analytic cost at batch unit `bu` (see [`group_cost`]).
+    fn cost(&self, arch: &ArchConfig, bu: u32, batch: u32) -> f64 {
+        let m = arch.n_cores() as f64;
+        let rounds = (batch as f64 / bu as f64).ceil().max(1.0);
+        let depth = self.depth as f64;
+        let b = bu as u64;
+        let macs = self.macs * b;
+        let max_layer_macs = self.max_layer_macs * b;
+        let weight_bytes = self.weight_bytes;
+        let ext_io_bytes = (self.ext_bytes * b) as f64;
+        let internal_bytes = (self.internal_bytes * b) as f64;
+        let act_bytes = (self.act_bytes * b) as f64;
 
-    // Per-stage times. Compute assumes proportional allocation, so the
-    // slowest stage is roughly total/M but never better than the largest
-    // layer on its share of cores.
-    let peak = m * arch.macs_per_core() as f64 * freq;
-    let t_compute = (macs as f64 / peak).max(max_layer_macs as f64 / peak * 1.2);
-    let t_dram = dram_bytes / (arch.dram_bw() * 1e9);
-    // Internal forwarding rides the NoC; average distance ~ sqrt(M)/2
-    // hops spread over ~M horizontal link columns. Cross-chiplet
-    // fraction pays the D2D bandwidth ratio.
-    let avg_hops = (m.sqrt() / 2.0).max(1.0);
-    let noc_cap = arch.noc_bw() * 1e9 * m.sqrt();
-    let cross_frac = 1.0 - 1.0 / arch.n_chiplets() as f64;
-    let d2d_cap = arch.d2d_bw() * 1e9 * m.sqrt();
-    let t_net = internal_bytes * avg_hops / noc_cap + internal_bytes * cross_frac / d2d_cap;
-    let stage =
-        t_compute.max(t_dram).max(t_net / depth.max(1.0)) + gemini_sim::evaluate::STAGE_OVERHEAD_S;
-    let delay = stage * (rounds + depth - 1.0) + gemini_sim::evaluate::GROUP_OVERHEAD_S;
+        // Aggregate working set (mirrors the evaluator's per-core model):
+        // weights plus one stage's activations must fit the combined GLBs;
+        // overflow spills to DRAM every round (write + re-read).
+        let glb_total = (arch.n_cores() as u64 * arch.glb_bytes()) as f64;
+        let working_set = weight_bytes as f64 + act_bytes;
+        let overflow = (working_set - glb_total).max(0.0);
+        // Weights load once per group execution, amortized over the rounds.
+        let dram_bytes = ext_io_bytes + weight_bytes as f64 / rounds + 2.0 * overflow;
+        let freq = arch.freq_ghz() * 1e9;
 
-    let energy = (dram_bytes * rounds * E_DRAM
-        + internal_bytes * rounds * avg_hops * E_NOC_HOP
-        + macs as f64 * rounds * E_MAC)
-        * 1e-12;
+        // Per-stage times. Compute assumes proportional allocation, so the
+        // slowest stage is roughly total/M but never better than the largest
+        // layer on its share of cores.
+        let peak = m * arch.macs_per_core() as f64 * freq;
+        let t_compute = (macs as f64 / peak).max(max_layer_macs as f64 / peak * 1.2);
+        let t_dram = dram_bytes / (arch.dram_bw() * 1e9);
+        // Internal forwarding rides the NoC; average distance ~ sqrt(M)/2
+        // hops spread over ~M horizontal link columns. Cross-chiplet
+        // fraction pays the D2D bandwidth ratio.
+        let avg_hops = (m.sqrt() / 2.0).max(1.0);
+        let noc_cap = arch.noc_bw() * 1e9 * m.sqrt();
+        let cross_frac = 1.0 - 1.0 / arch.n_chiplets() as f64;
+        let d2d_cap = arch.d2d_bw() * 1e9 * m.sqrt();
+        let t_net = internal_bytes * avg_hops / noc_cap + internal_bytes * cross_frac / d2d_cap;
+        let stage = t_compute.max(t_dram).max(t_net / depth.max(1.0))
+            + gemini_sim::evaluate::STAGE_OVERHEAD_S;
+        let delay = stage * (rounds + depth - 1.0) + gemini_sim::evaluate::GROUP_OVERHEAD_S;
 
-    // Chip-power scale: ~3x the peak MAC power covers buffers, network
-    // and DRAM interface activity.
-    let p_ref = m * arch.macs_per_core() as f64 * freq * E_MAC * 1e-12 * 3.0;
-    energy + delay * p_ref
+        let energy = (dram_bytes * rounds * E_DRAM
+            + internal_bytes * rounds * avg_hops * E_NOC_HOP
+            + macs as f64 * rounds * E_MAC)
+            * 1e-12;
+
+        // Chip-power scale: ~3x the peak MAC power covers buffers, network
+        // and DRAM interface activity.
+        let p_ref = m * arch.macs_per_core() as f64 * freq * E_MAC * 1e-12 * 3.0;
+        energy + delay * p_ref
+    }
 }
 
 #[cfg(test)]
@@ -323,6 +447,28 @@ mod tests {
         let dnn = zoo::pnasnet();
         let p = partition(&dnn, 8);
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn incremental_aggregates_match_a_member_scan() {
+        // Branchy graphs (concat fan-in, residual fan-out) exercise the
+        // output-closing and depth updates of the walk.
+        for dnn in [zoo::googlenet(), zoo::resnet50(), zoo::transformer_base()] {
+            let layers: Vec<LayerId> = dnn.compute_ids().collect();
+            let mut walk = SegmentWalk::new(&dnn, &layers);
+            for j in 0..layers.len() {
+                let mut agg = SegmentAggregates::default();
+                for k in j..(j + 12).min(layers.len()) {
+                    walk.push(&mut agg, j, k);
+                    assert_eq!(
+                        agg,
+                        SegmentAggregates::of(&dnn, &layers[j..=k]),
+                        "{} segment {j}..={k}",
+                        dnn.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

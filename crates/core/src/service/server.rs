@@ -9,8 +9,10 @@
 //! The threading shape is deliberately simple and entirely
 //! `std`-based:
 //!
-//! * the caller's thread runs the accept loop (non-blocking listener,
-//!   polled so it can observe shutdown);
+//! * the caller's thread runs the accept loop on a blocking listener;
+//!   whoever sets the shutdown flag (the `shutdown` reader, or the
+//!   SIGTERM watcher polling the handler's flag every 50 ms) wakes it
+//!   with a loopback connect, which is dropped uncounted;
 //! * one reader thread per connection decodes lines and either answers
 //!   inline (`ping`/`stats`/`shutdown` — never queued, so a saturated
 //!   daemon still answers probes) or pushes a job onto the shared
@@ -27,7 +29,7 @@
 //! threads — in-flight work is finished, never dropped.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -37,7 +39,7 @@ use super::queue::{PushError, RequestQueue};
 use super::ServiceState;
 use crate::campaign::value::Value;
 
-/// Set by the SIGTERM handler; observed by the accept loop.
+/// Set by the SIGTERM handler; observed by the SIGTERM watcher.
 static TERM: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -111,7 +113,6 @@ impl Server {
     /// Propagates the bind failure.
     pub fn bind(addr: &str, opts: ServeOptions) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Self { listener, opts })
     }
 
@@ -133,7 +134,7 @@ impl Server {
     /// errors only drop that connection).
     pub fn run(&self, state: &ServiceState) -> std::io::Result<ServeSummary> {
         install_sigterm_handler();
-        let shutdown = AtomicBool::new(false);
+        let shutdown = Shutdown::new(self.listener.local_addr()?);
         let queue: RequestQueue<Job> = RequestQueue::new(self.opts.queue_cap);
         let workers = if self.opts.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -147,24 +148,31 @@ impl Server {
             for _ in 0..workers {
                 s.spawn(|| worker_loop(&queue, state));
             }
+            // `signal()` installs with restart semantics, so a blocking
+            // `accept` never returns on SIGTERM: a watcher turns the
+            // handler's flag into a shutdown plus a wake-up connect.
+            s.spawn(|| {
+                while !shutdown.is_set() {
+                    if TERM.load(Ordering::SeqCst) {
+                        shutdown.trigger();
+                        break;
+                    }
+                    std::thread::sleep(READ_TICK);
+                }
+            });
             loop {
-                if shutdown.load(Ordering::SeqCst) {
+                let accepted = self.listener.accept();
+                // Checked after `accept` returns: the wake-up connect
+                // (or any client racing the shutdown) is not served.
+                if shutdown.is_set() {
                     break;
                 }
-                if TERM.load(Ordering::SeqCst) {
-                    shutdown.store(true, Ordering::SeqCst);
-                    break;
-                }
-                match self.listener.accept() {
+                match accepted {
                     Ok((stream, _peer)) => {
                         connections.fetch_add(1, Ordering::Relaxed);
-                        // The accepted socket must block (with a short
-                        // read timeout) so the reader can poll the
+                        // A short read timeout lets the reader poll the
                         // shutdown flag without spinning.
-                        let ready = stream.set_nonblocking(false).is_ok()
-                            && stream
-                                .set_read_timeout(Some(Duration::from_millis(50)))
-                                .is_ok();
+                        let ready = stream.set_read_timeout(Some(READ_TICK)).is_ok();
                         let Ok(write_half) = stream.try_clone() else {
                             continue;
                         };
@@ -178,19 +186,16 @@ impl Server {
                             reader_loop(stream, writer, queue, state, shutdown);
                         });
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
                     Err(e) => {
                         accept_err = Some(e);
-                        shutdown.store(true, Ordering::SeqCst);
+                        shutdown.set();
                         break;
                     }
                 }
             }
             // Stop admission; workers drain what is queued and exit,
-            // readers notice the flag on their next timeout tick.
+            // readers and the watcher notice the flag on their next tick.
             queue.close();
         });
         match accept_err {
@@ -200,6 +205,51 @@ impl Server {
                 connections: connections.load(Ordering::Relaxed),
             }),
         }
+    }
+}
+
+/// How often readers and the SIGTERM watcher look at the shutdown flag.
+const READ_TICK: Duration = Duration::from_millis(50);
+
+/// The daemon's shutdown flag plus the means to wake the blocked
+/// accept loop once it is set.
+struct Shutdown {
+    flag: AtomicBool,
+    /// Where a loopback connect reaches the listener.
+    wake_addr: SocketAddr,
+}
+
+impl Shutdown {
+    fn new(mut wake_addr: SocketAddr) -> Self {
+        if wake_addr.ip().is_unspecified() {
+            let loopback: IpAddr = if wake_addr.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            };
+            wake_addr.set_ip(loopback);
+        }
+        Self {
+            flag: AtomicBool::new(false),
+            wake_addr,
+        }
+    }
+
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag without waking the accept loop (for the loop itself).
+    fn set(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+    }
+
+    /// Sets the flag, then connects once so the blocked `accept`
+    /// returns and sees it. A failed connect means the listener is
+    /// already gone, which needs no wake-up.
+    fn trigger(&self) {
+        self.set();
+        let _ = TcpStream::connect(self.wake_addr);
     }
 }
 
@@ -265,7 +315,7 @@ fn reader_loop(
     writer: Arc<Mutex<TcpStream>>,
     queue: &RequestQueue<Job>,
     state: &ServiceState,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
 ) {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -301,7 +351,7 @@ fn reader_loop(
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if shutdown.load(Ordering::SeqCst) {
+                if shutdown.is_set() {
                     return;
                 }
             }
@@ -333,7 +383,7 @@ fn handle_line(
     writer: &Arc<Mutex<TcpStream>>,
     queue: &RequestQueue<Job>,
     state: &ServiceState,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
 ) -> bool {
     let req = match Request::from_json(line) {
         Ok(r) => r,
@@ -358,7 +408,7 @@ fn handle_line(
             };
             write_line(writer, &resp, service_section(state, queue));
             if is_shutdown {
-                shutdown.store(true, Ordering::SeqCst);
+                shutdown.trigger();
                 return false;
             }
             true

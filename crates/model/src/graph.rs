@@ -6,10 +6,12 @@
 //! so that malformed graphs are rejected at build time rather than deep
 //! inside the evaluator.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::layer::{Layer, LayerKind};
-use crate::region::{FmapShape, Region};
+use crate::region::{FmapShape, Range1, Region};
 
 /// Index of a layer inside its [`Dnn`]. Layers are numbered in
 /// topological order: every predecessor id is smaller than its consumer.
@@ -30,7 +32,7 @@ impl std::fmt::Display for LayerId {
 }
 
 /// A validated DNN computation graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Dnn {
     name: String,
     layers: Vec<Layer>,
@@ -39,6 +41,24 @@ pub struct Dnn {
     /// Channel offset of each predecessor inside a concat output (zeros
     /// for non-concat layers).
     concat_offsets: Vec<Vec<u32>>,
+    /// [`Dnn::union_need_bytes`] per layer and predecessor, filled on
+    /// first use (a derived cache, not part of the graph).
+    #[serde(skip)]
+    union_need: OnceLock<Vec<Vec<u64>>>,
+}
+
+/// Prints the graph only, the same whether or not the derived
+/// union-need table has been filled.
+impl std::fmt::Debug for Dnn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dnn")
+            .field("name", &self.name)
+            .field("layers", &self.layers)
+            .field("preds", &self.preds)
+            .field("succs", &self.succs)
+            .field("concat_offsets", &self.concat_offsets)
+            .finish()
+    }
 }
 
 impl Dnn {
@@ -113,6 +133,68 @@ impl Dnn {
         self.layer(id).input_need(pred_pos, pred_shape, off, out)
     }
 
+    /// Minimum bytes of predecessor `pred_pos` that any part
+    /// decomposition of one sample of layer `id`'s output must read: a
+    /// per-dimension union sweep of the [`Dnn::input_need`] map.
+    ///
+    /// `input_need` is a product of per-dimension interval maps, each
+    /// depending on exactly one output dimension (injectively across need
+    /// dimensions) and monotone in range inclusion. Probing one output
+    /// dimension with single indices (others full) therefore yields, for
+    /// the need dimension it drives, the exact union of per-index needs —
+    /// and for every other need dimension an over-approximation. Taking
+    /// the minimum merged measure per need dimension across the probes
+    /// recovers the true per-dimension unions, whose product measures a
+    /// box contained in the union of any covering decomposition's needs.
+    ///
+    /// `input_need` passes the batch range through unchanged, so a
+    /// batch of `b` samples needs exactly `b` times this value. The sweep
+    /// runs once per graph, for every layer and predecessor, on the first
+    /// call; later calls (from any thread) read the table.
+    pub fn union_need_bytes(&self, id: LayerId, pred_pos: usize) -> u64 {
+        self.union_need.get_or_init(|| {
+            self.ids()
+                .map(|id| {
+                    (0..self.preds(id).len())
+                        .map(|p| self.union_need_sweep(id, p))
+                        .collect()
+                })
+                .collect()
+        })[id.idx()][pred_pos]
+    }
+
+    /// The per-sample union sweep behind [`Dnn::union_need_bytes`]: four
+    /// probe passes over an output of one sample.
+    fn union_need_sweep(&self, id: LayerId, pred_pos: usize) -> u64 {
+        let ofmap = self.layer(id).ofmap;
+        let extents = [ofmap.h, ofmap.w, ofmap.c, 1];
+        let mut best = [u64::MAX; 4];
+        let mut per_dim: [Vec<(u32, u32)>; 4] = Default::default();
+        for probe in 0..4 {
+            for i in 0..extents[probe] {
+                let r = |d: usize| {
+                    if d == probe {
+                        Range1::new(i, i + 1)
+                    } else {
+                        Range1::full(extents[d])
+                    }
+                };
+                let out = Region::new(r(0), r(1), r(2), r(3));
+                let need = self.input_need(id, pred_pos, &out);
+                for (d, r) in [need.h, need.w, need.k, need.b].into_iter().enumerate() {
+                    if !r.is_empty() {
+                        per_dim[d].push((r.start, r.end));
+                    }
+                }
+            }
+            for (b, ivs) in best.iter_mut().zip(&mut per_dim) {
+                *b = (*b).min(merged_measure(ivs));
+                ivs.clear();
+            }
+        }
+        best.iter().product::<u64>() * crate::BYTES_PER_ELEM
+    }
+
     /// Total MACs to process `batch` samples.
     pub fn total_macs(&self, batch: u32) -> u64 {
         self.layers.iter().map(|l| l.macs(batch)).sum()
@@ -174,6 +256,27 @@ impl Dnn {
         }
         best
     }
+}
+
+/// Total measure of a union of 1-D intervals.
+fn merged_measure(ivs: &mut [(u32, u32)]) -> u64 {
+    if ivs.is_empty() {
+        return 0;
+    }
+    ivs.sort_unstable();
+    let mut total = 0u64;
+    let (mut cs, mut ce) = ivs[0];
+    for &(s, e) in ivs[1..].iter() {
+        if s > ce {
+            total += (ce - cs) as u64;
+            cs = s;
+            ce = e;
+        } else if e > ce {
+            ce = e;
+        }
+    }
+    total += (ce - cs) as u64;
+    total
 }
 
 /// Workload summary produced by [`Dnn::summary`].
@@ -517,6 +620,7 @@ impl DnnBuilder {
             preds: self.preds,
             succs,
             concat_offsets: self.concat_offsets,
+            union_need: OnceLock::new(),
         }
     }
 }
@@ -717,6 +821,23 @@ mod tests {
             &[q, k],
         );
         assert!(matches!(bad, Err(GraphError::ShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn merged_measure_handles_overlap_and_gaps() {
+        assert_eq!(merged_measure(&mut []), 0);
+        assert_eq!(merged_measure(&mut [(0, 4), (2, 6)]), 6);
+        assert_eq!(merged_measure(&mut [(4, 6), (0, 2)]), 4);
+        assert_eq!(merged_measure(&mut [(0, 8), (2, 3)]), 8);
+    }
+
+    #[test]
+    fn union_need_table_leaves_debug_unchanged() {
+        let d = chain();
+        let before = format!("{d:?}");
+        assert!(d.union_need_bytes(LayerId(2), 0) > 0);
+        assert_eq!(format!("{d:?}"), before);
+        assert!(!before.contains("union_need"));
     }
 
     #[test]

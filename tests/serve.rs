@@ -272,9 +272,33 @@ fn tiny_queue_answers_busy_under_load() {
     )
     .unwrap();
     conn.flush().unwrap();
-    // ...give the worker a moment to dequeue it, then fill the queue's
-    // single slot and push one more.
-    std::thread::sleep(std::time::Duration::from_millis(300));
+    // ...wait until the worker holds it, then fill the queue's single
+    // slot and push one more. An empty queue alone would also match the
+    // moment before the reader queues "slow"; the request-memo miss is
+    // counted when the worker starts evaluating it.
+    let mut probe = TcpStream::connect(&daemon.addr).unwrap();
+    let mut probe_lines = BufReader::new(probe.try_clone().unwrap()).lines();
+    loop {
+        probe
+            .write_all(b"{\"id\":\"s\",\"verb\":\"stats\"}\n")
+            .unwrap();
+        let stats = parse_json(&probe_lines.next().unwrap().unwrap()).unwrap();
+        let service = stats.get("service").unwrap();
+        let started = stats
+            .get("payload")
+            .unwrap()
+            .get("request_memo")
+            .unwrap()
+            .get("misses")
+            .unwrap()
+            .as_num()
+            .unwrap()
+            >= 1.0;
+        if started && service.get("queue_depth").unwrap().as_num() == Some(0.0) {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
     conn.write_all(
         b"{\"id\":\"q\",\"verb\":\"map\",\"model\":\"two-conv\",\"batch\":2,\"iters\":10,\"threads\":1}\n\
           {\"id\":\"refused\",\"verb\":\"map\",\"model\":\"two-conv\",\"batch\":2,\"iters\":10,\"threads\":1}\n",
